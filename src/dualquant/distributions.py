@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import BadValueError, BadWeightError, EmptyDataError
@@ -64,7 +64,7 @@ def as_level(p: Union[int, float, str, Fraction]) -> Probability:
     """
     if isinstance(p, Fraction):
         q = p
-    elif isinstance(p, int):
+    elif isinstance(p, int) and not isinstance(p, bool):  # True is no level
         q = Fraction(p)
     elif isinstance(p, float):
         if not math.isfinite(p):
@@ -197,14 +197,36 @@ class MixtureDistribution:
         object.__setattr__(self, "segments", segments)
 
     def __hash__(self):
-        # distributions are dictionary keys all over the package (memoized
-        # profiles, pushforwards, quantiles); hashing the exact masses is
-        # costly enough to be worth computing once
+        # distributions key the memo tables of dist_fn and the verifier's
+        # oracle; hashing the exact masses is costly enough to be worth
+        # computing once
         h = getattr(self, "_hash", None)
         if h is None:
             h = hash((self.atoms, self.segments))
             object.__setattr__(self, "_hash", h)
         return h
+
+
+def stored(fn):
+    """Memoize a function of one distribution on the distribution itself.
+
+    The value is computed on first use and kept in an attribute, the way
+    the hash is.  A hit is the very object it was computed for, so a
+    distribution never receives a value derived from an equal but
+    different one (``-0.0 == 0.0``, so ``lru_cache`` would mix them up).
+    """
+    name = f"_{fn.__name__.lstrip('_')}"
+
+    @wraps(fn)
+    def get(d: "MixtureDistribution"):
+        try:
+            return d.__dict__[name]
+        except KeyError:
+            value = fn(d)
+            object.__setattr__(d, name, value)
+            return value
+
+    return get
 
 
 class DistFnFlavor(Enum):
@@ -305,7 +327,7 @@ def dist_fn(d: MixtureDistribution, flavor: DistFnFlavor, x: ExtendedReal) -> Pr
     return acc
 
 
-@lru_cache(maxsize=8192)
+@stored
 def negate(d: MixtureDistribution) -> MixtureDistribution:
     """The distribution of -X.  Involutive: negate(negate(d)) == d."""
     return MixtureDistribution(
@@ -328,7 +350,7 @@ def essential_bounds(d: MixtureDistribution) -> tuple[float, float]:
     return min(los), max(his)
 
 
-@lru_cache(maxsize=8192)
+@stored
 def breakpoints(d: MixtureDistribution) -> tuple[float, ...]:
     """Sorted distinct support landmarks: atom locations and segment endpoints."""
     pts = {a.location for a in d.atoms}

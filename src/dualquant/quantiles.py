@@ -2,19 +2,22 @@
 
 The two generalized inverses of a distribution function differ exactly
 on the flat stretches of F: the left quantile is inf{x : P(X<=x) >= p}
-and the right quantile is inf{x : P(X<=x) > p}.  Both are computed in
-closed form by walking the mixture's breakpoint profile with exact
-cumulative probabilities, so results on atoms are the atom coordinates
-themselves and results inside segments are exact rationals.
+and the right quantile is inf{x : P(X<=x) > p}.  Both are found by
+bisecting the mixture's exact CDF profile, built once per distribution
+and stored on it, then inverting at most one affine gap, so results on
+atoms are the atom coordinates themselves and results inside segments
+are exact rationals.  Each level costs O(log n).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from typing import Union
+from itertools import accumulate
+from math import lcm
+from typing import NamedTuple, Union
 
 from .distributions import (
     NEG_INF,
@@ -25,7 +28,9 @@ from .distributions import (
     as_extended,
     as_level,
     negate,
+    stored,
 )
+from .errors import BadValueError
 
 __all__ = [
     "QuantileSide",
@@ -55,7 +60,7 @@ class QuantilePair:
 
     def __post_init__(self):
         if not self.left <= self.right:
-            raise ValueError(
+            raise BadValueError(
                 f"left quantile {self.left} exceeds right quantile {self.right}"
             )
 
@@ -65,66 +70,84 @@ class QuantilePair:
         return self.left == self.right
 
 
-@lru_cache(maxsize=8192)
-def _steps(d: MixtureDistribution):
-    # The breakpoint profile: for each support landmark x, the jump of F
-    # at x (atom mass) and the exact mass gained on the open interval up
-    # to the next landmark.  F is affine on each such interval.
-    xs = sorted(
-        {a.location for a in d.atoms}
-        | {e for s in d.segments for e in (s.lo, s.hi)}
-    )
+class _Profile(NamedTuple):
+    """The exact CDF profile of one distribution, built once.
+
+    ``xs`` are the sorted distinct landmarks (atom locations and segment
+    endpoints); F is affine on each open gap between two of them.  The
+    probabilities are integer numerators over the common denominator
+    ``den``: ``cdf[i]`` is P(X <= xs[i]) and ``below_next[i]`` is
+    P(X < xs[i+1]), i.e. ``cdf[i]`` plus the mass of the gap after
+    ``xs[i]`` (the last entry is ``den``).  ``gaps`` maps the index of
+    each gap that carries mass to ``(a, b)`` with F(a + b*p) = p there:
+    the exact inverse of the affine F on that gap.
+    """
+
+    xs: tuple[float, ...]
+    den: int
+    cdf: tuple[int, ...]
+    below_next: tuple[int, ...]
+    gaps: dict[int, tuple[Fraction, Fraction]]
+
+
+@stored
+def _profile(d: MixtureDistribution) -> _Profile:
+    # a dict keeps the first of two equal keys, so where -0.0 meets 0.0
+    # the atom's zero wins over a segment end's, and an earlier segment
+    # end over a later one
     jump = {a.location: a.mass for a in d.atoms}
-    steps = []
+    for s in d.segments:
+        jump.setdefault(s.lo, 0)
+        jump.setdefault(s.hi, 0)
+    xs = sorted(jump)
+    segs = d.segments
+    masses = []  # the mass at each landmark, then that of the gap after it
+    covering = {}
+    j = 0  # the first segment ending after the current landmark
     for i, x in enumerate(xs):
-        nxt = xs[i + 1] if i + 1 < len(xs) else None
-        gain = Fraction(0)
-        if nxt is not None:
-            for s in d.segments:
-                if s.lo <= x and nxt <= s.hi:
-                    gain = s.mass * (Fraction(nxt) - Fraction(x)) / s.width
-                    break
-        steps.append(
-            (
-                x,
-                jump.get(x, Fraction(0)),
-                gain,
-                Fraction(x),
-                None if nxt is None else Fraction(nxt),
-            )
-        )
-    return tuple(steps)
+        masses.append(jump[x])
+        while j < len(segs) and segs[j].hi <= x:
+            j += 1
+        if i + 1 < len(xs) and j < len(segs) and segs[j].lo <= x:
+            s = covering[i] = segs[j]  # the whole gap: its ends are landmarks
+            masses.append(s.mass * (Fraction(xs[i + 1]) - Fraction(x)) / s.width)
+        else:
+            masses.append(0)
+    den = lcm(*(m.denominator for m in masses))
+    cum = list(accumulate(m.numerator * (den // m.denominator) for m in masses))
+    cdf = cum[0::2]
+    gaps = {}
+    for i, s in covering.items():
+        slope = s.width / s.mass
+        gaps[i] = (Fraction(xs[i]) - Fraction(cdf[i], den) * slope, slope)
+    return _Profile(tuple(xs), den, tuple(cdf), tuple(cum[1::2]), gaps)
 
 
-@lru_cache(maxsize=1 << 18)
-def _lq(d: MixtureDistribution, p: Probability) -> ExtendedReal:
-    if p == 0:
+def _invert(prof: _Profile, i: int, p: Probability) -> ExtendedReal:
+    # the point of the gap after xs[i] where the affine F reaches p
+    a, b = prof.gaps[i]
+    return as_extended(a + b * p)
+
+
+def _lq(prof: _Profile, p: Probability) -> ExtendedReal:
+    if not p.numerator:
         return NEG_INF
-    cum = Fraction(0)
-    for x, jump, gain, xf, nxf in _steps(d):
-        here = cum + jump  # P(X <= x)
-        if here >= p:
-            return x
-        if gain and here + gain >= p:
-            # affine stretch: invert exactly
-            return as_extended(xf + (p - here) * (nxf - xf) / gain)
-        cum = here + gain
-    raise AssertionError("unreachable: total mass is 1")
+    # an integer numerator c has c/den >= p exactly when c >= ceil(p*den)
+    t = -(-p.numerator * prof.den // p.denominator)
+    i = bisect_left(prof.cdf, t)  # first landmark with F >= p
+    if i and prof.below_next[i - 1] >= t:
+        return _invert(prof, i - 1, p)
+    return prof.xs[i]
 
 
-@lru_cache(maxsize=1 << 18)
-def _rq(d: MixtureDistribution, p: Probability) -> ExtendedReal:
-    if p == 1:
+def _rq(prof: _Profile, p: Probability) -> ExtendedReal:
+    if p.numerator == p.denominator:
         return POS_INF
-    cum = Fraction(0)
-    for x, jump, gain, xf, nxf in _steps(d):
-        here = cum + jump
-        if here > p:
-            return x
-        if gain and here + gain > p:
-            return as_extended(xf + (p - here) * (nxf - xf) / gain)
-        cum = here + gain
-    raise AssertionError("unreachable: some mass always lies above p < 1")
+    t = p.numerator * prof.den // p.denominator  # c/den > p iff c > floor(p*den)
+    i = bisect_right(prof.cdf, t)  # first landmark with F > p
+    if i and prof.below_next[i - 1] > t:
+        return _invert(prof, i - 1, p)
+    return prof.xs[i]
 
 
 def left_quantile(d: MixtureDistribution, p: LevelLike) -> ExtendedReal:
@@ -132,7 +155,8 @@ def left_quantile(d: MixtureDistribution, p: LevelLike) -> ExtendedReal:
 
     Equals -inf at p=0 and the essential supremum (finite) at p=1.
     """
-    return _lq(d, as_level(p))
+    p = as_level(p)
+    return _lq(_profile(d), p)
 
 
 def right_quantile(d: MixtureDistribution, p: LevelLike) -> ExtendedReal:
@@ -140,7 +164,8 @@ def right_quantile(d: MixtureDistribution, p: LevelLike) -> ExtendedReal:
 
     Equals the essential infimum (finite) at p=0 and +inf at p=1.
     """
-    return _rq(d, as_level(p))
+    p = as_level(p)
+    return _rq(_profile(d), p)
 
 
 def quantile_at(d: MixtureDistribution, p: LevelLike, side: QuantileSide) -> ExtendedReal:
@@ -154,7 +179,8 @@ def quantile_at(d: MixtureDistribution, p: LevelLike, side: QuantileSide) -> Ext
 def quantile_pair(d: MixtureDistribution, p: LevelLike) -> QuantilePair:
     """Both quantiles at one level; the pair brackets every valid answer."""
     p = as_level(p)
-    return QuantilePair(left=_lq(d, p), right=_rq(d, p), level=p)
+    prof = _profile(d)
+    return QuantilePair(left=_lq(prof, p), right=_rq(prof, p), level=p)
 
 
 def left_quantile_via_symmetry(d: MixtureDistribution, p: LevelLike) -> ExtendedReal:
@@ -163,5 +189,4 @@ def left_quantile_via_symmetry(d: MixtureDistribution, p: LevelLike) -> Extended
     Always equal to ``left_quantile(d, p)``; this separately wired path
     exists so the equality can be exercised as a cross-check.
     """
-    p = as_level(p)
-    return -_rq(negate(d), 1 - p)
+    return -right_quantile(negate(d), 1 - as_level(p))

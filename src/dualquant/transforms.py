@@ -16,7 +16,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 from .distributions import (
@@ -28,6 +27,8 @@ from .distributions import (
     UniformSegment,
     as_extended,
     as_level,
+    negate,
+    stored,
 )
 from .errors import (
     ContinuityMismatchError,
@@ -292,10 +293,7 @@ def apply_map(m: MonotoneMap, x: ExtendedReal) -> ExtendedReal:
 def _push_smooth(d: MixtureDistribution, m: SmoothMonotoneMap) -> MixtureDistribution:
     kind = m.kind
     if kind is SmoothKind.NEGATION:
-        return MixtureDistribution(
-            atoms=tuple(Atom(-a.location, a.mass) for a in d.atoms),
-            segments=tuple(UniformSegment(-s.hi, -s.lo, s.mass) for s in d.segments),
-        )
+        return negate(d)
     if kind is SmoothKind.AFFINE:
         pool: dict[float, Fraction] = {}
         segs = []
@@ -356,7 +354,12 @@ def _push_piecewise(d: MixtureDistribution, m: PiecewiseMonotoneMap) -> MixtureD
     )
 
 
-@lru_cache(maxsize=4096)
+@stored
+def _images(d: MixtureDistribution) -> dict:
+    # id(map) -> (map, pushforward of d through it)
+    return {}
+
+
 def pushforward(d: MixtureDistribution, m: MonotoneMap) -> MixtureDistribution:
     """Exact distribution of m(X).
 
@@ -367,12 +370,24 @@ def pushforward(d: MixtureDistribution, m: MonotoneMap) -> MixtureDistribution:
     slope zero.  The curved smooth kinds (pow10neg, neglog10) accept
     only atom-only distributions, since they would bend a uniform
     segment into a non-uniform law this model cannot represent.
+
+    The image is memoized on ``d`` per map object.  Equal inputs are not
+    enough for a hit: ``affine_map(2.0, -0.0) == affine_map(2.0, 0.0)``
+    and ``make_empirical([-0.0]) == make_empirical([0.0])``, yet the
+    signs of their images differ.
     """
+    images = _images(d)
+    hit = images.get(id(m))
+    if hit is not None:
+        return hit[1]
     if isinstance(m, SmoothMonotoneMap):
-        return _push_smooth(d, m)
-    if isinstance(m, PiecewiseMonotoneMap):
-        return _push_piecewise(d, m)
-    raise TypeError(f"not a monotone map: {m!r}")
+        image = _push_smooth(d, m)
+    elif isinstance(m, PiecewiseMonotoneMap):
+        image = _push_piecewise(d, m)
+    else:
+        raise TypeError(f"not a monotone map: {m!r}")
+    images[id(m)] = (m, image)  # holding m keeps its id from being reused
+    return image
 
 
 def equivariant_quantile(

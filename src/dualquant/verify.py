@@ -195,7 +195,7 @@ def quantile_by_definition(
     piecewise-affine F the defining set's boundary must be one of these
     points or sit just past one across a flat stretch, so a single
     one-sided-limit refinement at the boundary settles the inf/sup
-    exactly.  Shares nothing with the closed-form quantile walk.
+    exactly.  Shares nothing with the bisection in the quantiles module.
     """
     p = as_level(p)
     if not isinstance(variant, QuantileVariant):

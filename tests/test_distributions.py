@@ -82,6 +82,11 @@ class TestLevelCoercion:
         with pytest.raises(TypeError):
             as_level(None)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_bools_like_masses_do(self, flag):
+        with pytest.raises(TypeError):
+            as_level(flag)
+
 
 class TestExtendedCoercion:
     def test_collapses_lossless_rationals_to_floats(self):
@@ -247,6 +252,15 @@ class TestNegate:
         assert [(a.location, a.mass) for a in nd.atoms] == [(-2.0, Fraction(1, 2))]
         assert [(s.lo, s.hi, s.mass) for s in nd.segments] == [(-1.0, 0.0, Fraction(1, 2))]
 
+    def test_signed_zero_data_do_not_share_a_negation(self):
+        # -0.0 == 0.0, so the two data sets are equal distributions; each
+        # must still be mirrored from its own zero
+        pos_zero = make_empirical([0.0, 1.0])
+        neg_zero = make_empirical([-0.0, 1.0])
+        assert math.copysign(1.0, negate(pos_zero).atoms[1].location) == -1.0
+        assert math.copysign(1.0, negate(neg_zero).atoms[1].location) == 1.0
+        assert negate(neg_zero) is negate(neg_zero)
+
     @pytest.mark.parametrize("x", [4.0, 4.7336, 4.8327, 5.0, 5.6105, 6.0])
     def test_mirror_swaps_tail_functions(self, ph_dist, x):
         nd = negate(ph_dist)
@@ -264,6 +278,12 @@ class TestShapePredicates:
 
     def test_breakpoints_cover_all_component_edges(self, atom_in_segment):
         assert breakpoints(atom_in_segment) == (0.0, 0.5, 1.0)
+
+    def test_signed_zero_data_do_not_share_breakpoints(self):
+        neg_zero = make_empirical([-0.0, 1.0])
+        pos_zero = make_empirical([0.0, 1.0])
+        assert math.copysign(1.0, breakpoints(neg_zero)[0]) == -1.0
+        assert math.copysign(1.0, breakpoints(pos_zero)[0]) == 1.0
 
     def test_continuity_means_no_atoms(self, ph_dist, touching_segments):
         for flavor in ALL_FLAVORS:

@@ -1,6 +1,10 @@
 """Left/right quantiles: exact values, boundary behavior, and the mirror identity."""
 
+import math
+import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -8,16 +12,23 @@ from dualquant import (
     NEG_INF,
     POS_INF,
     Atom,
+    BadValueError,
+    GeneratorConfig,
     MixtureDistribution,
     QuantilePair,
     QuantileSide,
+    QuantileVariant,
     UniformSegment,
     left_quantile,
     left_quantile_via_symmetry,
     make_empirical,
     quantile_at,
+    quantile_by_definition,
     quantile_pair,
+    quantiles,
+    random_mixture,
     right_quantile,
+    standard_levels,
 )
 
 PH_SORTED = [4.7336, 4.8327, 4.8492, 5.0050, 5.0389, 5.2487, 5.2713, 5.2901, 5.5731, 5.6105]
@@ -147,6 +158,10 @@ class TestPairAndDispatch:
         with pytest.raises(ValueError):
             QuantilePair(2.0, 1.0, Fraction(1, 2))
 
+    def test_crossed_pair_raises_the_package_error(self):
+        with pytest.raises(BadValueError):
+            QuantilePair(2.0, 1.0, Fraction(1, 2))
+
     def test_side_dispatch(self, ph_dist):
         assert quantile_at(ph_dist, "0.2", QuantileSide.LEFT) == left_quantile(ph_dist, "0.2")
         assert quantile_at(ph_dist, "0.2", QuantileSide.RIGHT) == right_quantile(ph_dist, "0.2")
@@ -167,3 +182,109 @@ class TestMirrorIdentity:
         d = make_empirical([2.5, 2.5, 2.5])
         assert left_quantile(d, "0.5") == right_quantile(d, "0.5") == 2.5
         assert left_quantile_via_symmetry(d, "0.5") == 2.5
+
+
+LEVELS = standard_levels()
+
+
+def _same(x, y):
+    # equal value and equal kind: a float answer stays a float, an exact
+    # rational stays a Fraction
+    return type(x) is type(y) and x == y
+
+
+def _assert_profile_matches_definition(d, levels=LEVELS):
+    for p in levels:
+        lq = quantile_by_definition(d, p, QuantileVariant.LQ_CLOSED_INF)
+        rq = quantile_by_definition(d, p, QuantileVariant.RQ_CLOSED_INF)
+        assert _same(left_quantile(d, p), lq), (d, p)
+        assert _same(right_quantile(d, p), rq), (d, p)
+
+
+class TestProfileAgainstDefinition:
+    """The bisected profile against the definitional oracle, which scans
+    distribution-function values and never reads the profile."""
+
+    def test_empirical_data_with_ties(self, ph_dist):
+        rng = random.Random(11)
+        _assert_profile_matches_definition(ph_dist)
+        for _ in range(20):
+            values = [rng.choice((-2.5, 0.0, 1.0, 1.5, 4.0, 9.0)) for _ in range(rng.randint(1, 30))]
+            _assert_profile_matches_definition(make_empirical(values))
+
+    def test_weighted_levels_on_cumulative_masses(self):
+        rng = random.Random(12)
+        for _ in range(20):
+            n = rng.randint(1, 12)
+            values = rng.sample(range(-20, 20), n)
+            weights = [rng.randint(1, 5) for _ in range(n)]
+            d = make_empirical(values, weights)
+            total = sum(weights)
+            ordered = (w for _, w in sorted(zip(values, weights)))
+            cumulative = [Fraction(c, total) for c in accumulate(ordered)]
+            # each cumulative mass below 1 starts a flat stretch of F
+            for p in cumulative[:-1]:
+                assert left_quantile(d, p) < right_quantile(d, p)
+            _assert_profile_matches_definition(d, LEVELS + tuple(cumulative))
+
+    @pytest.mark.parametrize("start", range(0, 240, 60))
+    def test_random_mixture_corpus(self, start):
+        cfg = GeneratorConfig(seed=start)
+        for i in range(60):
+            _assert_profile_matches_definition(random_mixture(replace(cfg, seed=start + i)))
+
+    def test_corpus_covers_touching_segments_and_atoms_on_endpoints(self):
+        cfg = GeneratorConfig(max_atoms=5, max_segments=4, mass_granularity=3)
+        touching = on_endpoint = 0
+        for seed in range(120):
+            d = random_mixture(replace(cfg, seed=seed))
+            ends = {e for s in d.segments for e in (s.lo, s.hi)}
+            touched = any(s.hi == t.lo for s, t in zip(d.segments, d.segments[1:]))
+            landed = any(a.location in ends for a in d.atoms)
+            touching += touched
+            on_endpoint += landed
+            if touched or landed:
+                _assert_profile_matches_definition(d)
+        assert touching >= 10 and on_endpoint >= 10
+
+    def test_signed_zero_landmarks(self):
+        shapes = [
+            ((-0.0,), ((0.0, 1.0),)),
+            ((0.0,), ((-1.0, -0.0),)),
+            ((), ((-1.0, -0.0), (0.0, 1.0))),
+            ((-0.0, 2.0), ((-1.0, 0.0), (0.0, 1.0))),
+        ]
+        for atoms, segments in shapes:
+            d = MixtureDistribution(
+                atoms=tuple(Atom(x, 1) for x in atoms),
+                segments=tuple(UniformSegment(lo, hi, 1) for lo, hi in segments),
+            )
+            _assert_profile_matches_definition(d)
+
+
+class TestProfileStorage:
+    def test_profile_is_built_once_and_reused(self, monkeypatch):
+        built = []
+        real = quantiles._Profile
+        monkeypatch.setattr(quantiles, "_Profile", lambda *cols: built.append(cols) or real(*cols))
+        d = make_empirical([3.0, 1.0, 2.0, 2.0, 5.0])
+        left_quantile(d, "0.3")
+        right_quantile(d, "0.3")
+        quantile_pair(d, "0.6")
+        quantile_at(d, 1, QuantileSide.LEFT)
+        assert len(built) == 1
+        # an equal but distinct distribution keeps its own profile
+        left_quantile(make_empirical([3.0, 1.0, 2.0, 2.0, 5.0]), "0.3")
+        assert len(built) == 2
+        left_quantile(d, "0.9")
+        assert len(built) == 2
+
+    def test_signed_zero_data_do_not_share_answers(self):
+        # -0.0 == 0.0, so the two data sets are equal distributions; each
+        # must still answer with its own zero
+        neg_zero = make_empirical([-0.0, 1.0])
+        pos_zero = make_empirical([0.0, 1.0])
+        assert math.copysign(1.0, left_quantile(neg_zero, 0.5)) == -1.0
+        assert math.copysign(1.0, left_quantile(pos_zero, 0.5)) == 1.0
+        assert math.copysign(1.0, right_quantile(pos_zero, 0)) == 1.0
+        assert math.copysign(1.0, right_quantile(neg_zero, 0)) == -1.0

@@ -182,6 +182,20 @@ class TestPushforward:
         d = make_empirical([1.0, 2.0, 2.0, 3.5])
         assert pushforward(d, negation_map()) == negate(d)
 
+    def test_signed_zero_images_are_not_shared(self):
+        # both the data sets and the maps compare equal across -0.0 and
+        # 0.0, yet 2*(-0.0) + -0.0 is -0.0 while 2*0.0 + -0.0 is 0.0
+        m = affine_map(2.0, -0.0)
+        neg_zero = make_empirical([-0.0, 1.0])
+        pos_zero = make_empirical([0.0, 1.0])
+        assert math.copysign(1.0, pushforward(neg_zero, m).atoms[0].location) == -1.0
+        assert math.copysign(1.0, pushforward(pos_zero, m).atoms[0].location) == 1.0
+        shift = affine_map(1.0, 0.0)
+        assert shift == affine_map(1.0, -0.0)
+        assert math.copysign(1.0, pushforward(neg_zero, shift).atoms[0].location) == 1.0
+        assert math.copysign(1.0, pushforward(neg_zero, affine_map(1.0, -0.0)).atoms[0].location) == -1.0
+        assert pushforward(pos_zero, m) is pushforward(pos_zero, m)
+
     def test_affine_rescales_segments(self):
         u = unit_uniform()
         up = pushforward(u, affine_map(2.0, 1.0))
