@@ -45,7 +45,6 @@ from .quantiles import (
     QuantilePair,
     QuantileSide,
     left_quantile,
-    left_quantile_via_symmetry,
     quantile_at,
     quantile_pair,
     right_quantile,

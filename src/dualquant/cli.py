@@ -20,15 +20,15 @@ from pathlib import Path
 
 import click
 
-from .distributions import POS_INF, describe, make_empirical, negate
+from .distributions import as_exact, format_extended, make_empirical, negate
 from .errors import (
     ContinuityMismatchError,
     MapDomainError,
     MapSpecError,
     UnsupportedPushforwardError,
 )
-from .quantiles import QuantileSide, left_quantile, quantile_at, quantile_pair, right_quantile
-from .transforms import equivariant_quantile, map_from_spec, pushforward
+from .quantiles import QuantileSide, left_quantile, quantile_pair, right_quantile
+from .transforms import check_transport, equivariant_quantile, map_from_spec, pushforward
 from .verify import (
     GeneratorConfig,
     first_failure,
@@ -51,19 +51,6 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float) and math.isinf(x):
-        return "+inf" if x > 0 else "-inf"
-    return repr(float(x))
-
-
-def _json_val(x):
-    # infinities have no JSON number; everything else round-trips via repr
-    if isinstance(x, float) and math.isinf(x):
-        return "+inf" if x > 0 else "-inf"
-    return float(x)
-
-
 def _print_table(headers: list[str], rows: list[list[str]]) -> None:
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(headers)]
     click.echo("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
@@ -82,8 +69,8 @@ def _parse_levels(spec: str) -> list[Fraction]:
             tok = tok[:-1].strip()
             denom = 100
         try:
-            level = Fraction(tok) / denom
-        except (ValueError, ZeroDivisionError):
+            level = as_exact(tok) / denom
+        except ValueError:
             _fail(EXIT_LEVEL, f"cannot parse level {raw.strip()!r}")
         if not 0 <= level <= 1:
             _fail(EXIT_LEVEL, f"level {raw.strip()!r} lies outside [0, 1]")
@@ -175,8 +162,8 @@ def _load_column(path: str, column: str, weights, delimiter: str, header):
         if wi is not None:
             wcell = row[wi]
             try:
-                w = Fraction(wcell)
-            except (ValueError, ZeroDivisionError):
+                w = as_exact(wcell)
+            except ValueError:
                 _fail(EXIT_PARSE, f"{path}: line {line_num}, {w_label}: cannot parse weight {wcell!r}")
             if w <= 0:
                 _fail(EXIT_PARSE, f"{path}: line {line_num}, {w_label}: weight must be positive, got {wcell!r}")
@@ -223,23 +210,18 @@ def quantile(data_file, column, weights, delimiter, header, levels_spec, fmt):
     d = make_empirical(values, wvals)
     pairs = [quantile_pair(d, p) for p in levels]
     if fmt == "json":
-        payload = {
-            "source": data_file,
-            "column": label,
-            "rows": [
-                {
-                    "level": float(p),
-                    "left": _json_val(pair.left),
-                    "right": _json_val(pair.right),
-                    "traditional": _json_val(pair.left),
-                }
-                for p, pair in zip(levels, pairs)
-            ],
-        }
+        rows = []
+        for p, pair in zip(levels, pairs):
+            # JSON has no infinities; they go out in their text form
+            left, right = (
+                x if math.isfinite(x) else format_extended(x) for x in (pair.left, pair.right)
+            )
+            rows.append({"level": float(p), "left": left, "right": right, "traditional": left})
+        payload = {"source": data_file, "column": label, "rows": rows}
         click.echo(json.dumps(payload, indent=2))
         return
     rows = [
-        [_fmt(float(p)), _fmt(pair.left), _fmt(pair.right), _fmt(pair.left)]
+        [*map(format_extended, (float(p), pair.left, pair.right, pair.left))]
         for p, pair in zip(levels, pairs)
     ]
     _print_table(["level", "left", "right", "traditional"], rows)
@@ -280,7 +262,7 @@ def symmetry(data_file, column, weights, delimiter, header, levels_spec):
         ok = lq == mirror_lq and rq == mirror_rq
         all_ok &= ok
         rows.append(
-            [_fmt(float(p)), _fmt(lq), _fmt(rq), _fmt(mirror_lq), _fmt(mirror_rq),
+            [*map(format_extended, (float(p), lq, rq, mirror_lq, mirror_rq)),
              "pass" if ok else "FAIL"]
         )
     _print_table(
@@ -291,8 +273,9 @@ def symmetry(data_file, column, weights, delimiter, header, levels_spec):
     for p in levels:
         lq, rq = left_quantile(d, p), right_quantile(d, p)
         ri, rj = _row_position(d, lq), _row_position(d, rq)
+        level, lq_text, rq_text = map(format_extended, (float(p), lq, rq))
         if ri is None or rj is None:
-            click.echo(f"  level {_fmt(float(p))}: {_fmt(lq)} vs {_fmt(rq)}")
+            click.echo(f"  level {level}: {lq_text} vs {rq_text}")
             continue
         if ri == rj:
             verdict = f"same answer (row {ri})"
@@ -300,7 +283,7 @@ def symmetry(data_file, column, weights, delimiter, header, levels_spec):
             off = rj - ri
             verdict = f"off by {off} row{'s' if abs(off) != 1 else ''} (row {ri} vs row {rj})"
         click.echo(
-            f"  level {_fmt(float(p))}: direct {_fmt(lq)}; via reversed scale {_fmt(rq)} -> {verdict}"
+            f"  level {level}: direct {lq_text}; via reversed scale {rq_text} -> {verdict}"
         )
     if not all_ok:
         sys.exit(1)
@@ -358,21 +341,8 @@ def transform(data_file, column, weights, delimiter, header, levels_spec, map_ar
             _fail(EXIT_CONTINUITY, str(exc))
         except MapDomainError as exc:
             _fail(EXIT_MAP, str(exc))
-        direct = quantile_at(push, p, side_enum)
-        boundary = (
-            (p == 0 and side_enum is QuantileSide.LEFT)
-            or (p == 1 and side_enum is QuantileSide.RIGHT)
-        ) and not (isinstance(routed, float) and math.isinf(routed))
-        if boundary:
-            agree = "boundary"  # identity quantifies over reals; not claimed here
-        else:
-            same = direct == routed or (
-                not math.isinf(float(direct))
-                and not math.isinf(float(routed))
-                and abs(float(direct) - float(routed)) <= 1e-12
-            )
-            agree = "yes" if same else "NO"
-        rows.append([_fmt(float(p)), _fmt(direct), _fmt(routed), agree])
+        direct, verdict = check_transport(push, p, side_enum, routed)
+        rows.append([*map(format_extended, (float(p), direct, routed)), verdict.value])
     _print_table(["level", "pushforward quantile", "transported quantile", "equal"], rows)
 
 

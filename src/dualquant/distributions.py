@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import wraps
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import BadValueError, BadWeightError, EmptyDataError
@@ -53,30 +53,40 @@ ExtendedReal = Union[float, Fraction]
 Probability = Fraction
 
 
-def as_level(p: Union[int, float, str, Fraction]) -> Probability:
-    """Coerce ``p`` to an exact probability level in [0, 1].
+def as_exact(value: Union[int, float, str, Fraction]) -> Fraction:
+    """Read ``value`` as an exact rational.
 
-    Floats are read through their shortest decimal form, so ``0.2``
-    means exactly 1/5 (the number that was typed) rather than the
-    nearest binary double, which is slightly above 1/5 and would name a
-    different quantile on data with an atom exactly at the 20% mark.
-    Strings parse as exact decimals or fractions ("0.2", "1/5").
+    Fractions pass through and ints (not bools) convert exactly.  Floats
+    are read through their shortest decimal form, so the level ``0.2``
+    means exactly 1/5, the number that was typed, rather than the nearest
+    double, which is slightly above 1/5 and would name a different
+    quantile on data with an atom exactly at the 20% mark.  Strings
+    parse as exact decimals or fractions ("0.2", "1/5").  Raises
+    TypeError for any other type and ValueError for a value that names
+    no finite rational.
     """
-    if isinstance(p, Fraction):
-        q = p
-    elif isinstance(p, int) and not isinstance(p, bool):  # True is no level
-        q = Fraction(p)
-    elif isinstance(p, float):
-        if not math.isfinite(p):
-            raise BadValueError(f"level must be finite, got {p!r}")
-        q = Fraction(repr(p))
-    elif isinstance(p, str):
-        try:
-            q = Fraction(p)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise BadValueError(f"cannot parse level {p!r}") from exc
+    if isinstance(value, str):
+        text = value
+    elif isinstance(value, Fraction):
+        return value
+    elif isinstance(value, float):
+        text = repr(value)  # 'inf' and 'nan' fail to parse below
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
     else:
-        raise TypeError(f"cannot interpret {type(p).__name__} as a probability level")
+        raise TypeError(f"cannot read a {type(value).__name__} as an exact number")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{value!r} is not a finite number") from None
+
+
+def as_level(p: Union[int, float, str, Fraction]) -> Probability:
+    """Coerce ``p`` to an exact probability level in [0, 1] via `as_exact`."""
+    try:
+        q = as_exact(p)
+    except ValueError:
+        raise BadValueError(f"level must be a finite number, got {p!r}") from None
     if not 0 <= q <= 1:
         raise BadValueError(f"level must lie in [0, 1], got {p!r}")
     return q
@@ -95,25 +105,23 @@ def as_extended(x: Union[float, Fraction]) -> ExtendedReal:
     return x
 
 
+def format_extended(x: Union[float, Fraction]) -> str:
+    """Text form of an extended real: ``+inf``/``-inf``, ``n/d`` for a
+    rational that a float would round, otherwise the float's repr."""
+    x = as_extended(x)
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    if math.isinf(x):
+        return "+inf" if x > 0 else "-inf"
+    return repr(float(x))
+
+
 def _exact_positive(value, error_cls, what: str) -> Fraction:
-    # mass/weight coercion; floats go through repr for decimal intent
-    if isinstance(value, Fraction):
-        q = value
-    elif isinstance(value, bool):
-        raise error_cls(f"{what} must be a positive number, got {value!r}")
-    elif isinstance(value, int):
-        q = Fraction(value)
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise error_cls(f"{what} must be finite, got {value!r}")
-        q = Fraction(repr(value))
-    elif isinstance(value, str):
-        try:
-            q = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise error_cls(f"cannot parse {what} {value!r}") from exc
-    else:
-        raise error_cls(f"{what} must be a number, got {type(value).__name__}")
+    # mass/weight coercion
+    try:
+        q = as_exact(value)
+    except (TypeError, ValueError):
+        raise error_cls(f"{what} must be a positive number, got {value!r}") from None
     if q <= 0:
         raise error_cls(f"{what} must be positive, got {value!r}")
     return q
@@ -122,10 +130,13 @@ def _exact_positive(value, error_cls, what: str) -> Fraction:
 def _finite_float(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BadValueError(f"{what} must be a finite real, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
+    try:
+        f = float(value)
+    except OverflowError:
+        raise BadValueError(f"{what} must be finite, got an int past the float range") from None
+    if not math.isfinite(f):
         raise BadValueError(f"{what} must be finite, got {value!r}")
-    return value
+    return f
 
 
 @dataclass(frozen=True)
@@ -197,9 +208,8 @@ class MixtureDistribution:
         object.__setattr__(self, "segments", segments)
 
     def __hash__(self):
-        # distributions key the memo tables of dist_fn and the verifier's
-        # oracle; hashing the exact masses is costly enough to be worth
-        # computing once
+        # hashing the exact masses is costly enough to be worth doing once;
+        # memo tables never key on distributions (see `stored`)
         h = getattr(self, "_hash", None)
         if h is None:
             h = hash((self.atoms, self.segments))
@@ -268,7 +278,7 @@ def make_empirical(
     return MixtureDistribution(atoms=tuple(Atom(v, w) for v, w in pooled.items()))
 
 
-@lru_cache(maxsize=8192)
+@stored
 def _atom_tables(d: MixtureDistribution):
     # sorted locations plus exact cumulative masses from each end; the
     # suffix table is summed independently rather than derived from the

@@ -27,7 +27,6 @@ from .distributions import (
     Probability,
     as_extended,
     as_level,
-    negate,
     stored,
 )
 from .errors import BadValueError
@@ -39,7 +38,6 @@ __all__ = [
     "right_quantile",
     "quantile_at",
     "quantile_pair",
-    "left_quantile_via_symmetry",
 ]
 
 LevelLike = Union[int, float, str, Fraction]
@@ -181,12 +179,3 @@ def quantile_pair(d: MixtureDistribution, p: LevelLike) -> QuantilePair:
     p = as_level(p)
     prof = _profile(d)
     return QuantilePair(left=_lq(prof, p), right=_rq(prof, p), level=p)
-
-
-def left_quantile_via_symmetry(d: MixtureDistribution, p: LevelLike) -> ExtendedReal:
-    """Left quantile routed through the mirror identity -rq(-X, 1-p).
-
-    Always equal to ``left_quantile(d, p)``; this separately wired path
-    exists so the equality can be exercised as a cross-check.
-    """
-    return -right_quantile(negate(d), 1 - as_level(p))

@@ -16,6 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from typing import Union
 
 from .distributions import (
@@ -36,7 +37,7 @@ from .errors import (
     MapSpecError,
     UnsupportedPushforwardError,
 )
-from .quantiles import LevelLike, QuantileSide, left_quantile, right_quantile
+from .quantiles import LevelLike, QuantileSide, left_quantile, quantile_at, right_quantile
 
 __all__ = [
     "Direction",
@@ -53,6 +54,8 @@ __all__ = [
     "apply_map",
     "pushforward",
     "equivariant_quantile",
+    "Transport",
+    "check_transport",
     "equivariance_counterexample",
     "map_from_spec",
     "map_to_spec",
@@ -258,7 +261,10 @@ def _apply_smooth(m: SmoothMonotoneMap, x: ExtendedReal) -> ExtendedReal:
         return m.scale * x + m.offset
     xf = float(x)
     if kind is SmoothKind.POW10_NEG:
-        return 10.0 ** (-xf)
+        try:
+            return 10.0 ** (-xf)
+        except OverflowError:  # past the float range, as a product would be
+            return POS_INF
     if xf <= 0:
         raise MapDomainError(f"neglog10 is undefined at {x!r}")
     return -math.log10(xf)
@@ -290,49 +296,49 @@ def apply_map(m: MonotoneMap, x: ExtendedReal) -> ExtendedReal:
     raise TypeError(f"not a monotone map: {m!r}")
 
 
+def _mixture_of_images(atoms: list, segments: list) -> MixtureDistribution:
+    # ``atoms`` holds (image, mass) pairs and ``segments`` (image of lo,
+    # image of hi, mass) triples.  Images that collide pool their mass, in
+    # order, so the first of -0.0 and 0.0 names the atom; a segment whose
+    # ends meet (a flat piece, or an interval narrower than float
+    # resolution) becomes an atom.
+    segs = []
+    collapsed = []
+    for y1, y2, mass in segments:
+        lo, hi = (y1, y2) if y1 <= y2 else (y2, y1)
+        if lo == hi:
+            collapsed.append((lo, mass))
+        else:
+            segs.append((lo, hi, mass))
+    pool: dict[float, Fraction] = {}
+    for y, mass in chain(atoms, collapsed):
+        pool[y] = pool.get(y, 0) + mass
+    # float overflow is the one way a finite point gets a non-finite image
+    if not all(map(math.isfinite, chain(pool, (y for lo, hi, _ in segs for y in (lo, hi))))):
+        raise MapDomainError("the map sends a finite value past the float range")
+    return MixtureDistribution(
+        atoms=tuple(Atom(y, w) for y, w in pool.items()),
+        segments=tuple(UniformSegment(lo, hi, w) for lo, hi, w in segs),
+    )
+
+
 def _push_smooth(d: MixtureDistribution, m: SmoothMonotoneMap) -> MixtureDistribution:
-    kind = m.kind
-    if kind is SmoothKind.NEGATION:
+    if m.kind is SmoothKind.NEGATION:
         return negate(d)
-    if kind is SmoothKind.AFFINE:
-        pool: dict[float, Fraction] = {}
-        segs = []
-        for a in d.atoms:
-            y = m.scale * a.location + m.offset
-            pool[y] = pool.get(y, Fraction(0)) + a.mass
-        for s in d.segments:
-            y1 = m.scale * s.lo + m.offset
-            y2 = m.scale * s.hi + m.offset
-            lo, hi = (y1, y2) if y1 <= y2 else (y2, y1)
-            if lo == hi:  # interval narrower than float resolution
-                pool[lo] = pool.get(lo, Fraction(0)) + s.mass
-            else:
-                segs.append(UniformSegment(lo, hi, s.mass))
-        return MixtureDistribution(
-            atoms=tuple(Atom(y, w) for y, w in pool.items()), segments=tuple(segs)
-        )
     # the curved kinds keep exactness only for purely atomic distributions
-    if d.segments:
+    if d.segments and m.kind is not SmoothKind.AFFINE:
         raise UnsupportedPushforwardError(
-            f"{kind.value} pushforward needs an atom-only distribution; "
+            f"{m.kind.value} pushforward needs an atom-only distribution; "
             "a uniform segment's image would not be uniform"
         )
-    pool = {}
-    for a in d.atoms:
-        y = _apply_smooth(m, a.location)
-        pool[y] = pool.get(y, Fraction(0)) + a.mass
-    return MixtureDistribution(atoms=tuple(Atom(y, w) for y, w in pool.items()))
+    return _mixture_of_images(
+        [(_apply_smooth(m, a.location), a.mass) for a in d.atoms],
+        [(_apply_smooth(m, s.lo), _apply_smooth(m, s.hi), s.mass) for s in d.segments],
+    )
 
 
 def _push_piecewise(d: MixtureDistribution, m: PiecewiseMonotoneMap) -> MixtureDistribution:
-    pool: dict[float, Fraction] = {}
-    segs = []
-
-    def add_atom(loc: float, mass: Fraction) -> None:
-        pool[loc] = pool.get(loc, Fraction(0)) + mass
-
-    for a in d.atoms:
-        add_atom(float(_apply_piecewise(m, a.location)), a.mass)
+    parts = []
     bs = m.breakpoints
     for s in d.segments:
         # split at the map's interior breakpoints; each part rides one piece
@@ -340,17 +346,12 @@ def _push_piecewise(d: MixtureDistribution, m: PiecewiseMonotoneMap) -> MixtureD
         for u, v in zip(cuts, cuts[1:]):
             part = s.mass * (Fraction(v) - Fraction(u)) / s.width
             piece = m.pieces[bisect_right(bs, u)]  # owner of the open interval (u, v)
-            if piece.slope == 0:
-                add_atom(piece.intercept, part)
-                continue
-            y1, y2 = piece.value(u), piece.value(v)
-            lo, hi = (y1, y2) if y1 <= y2 else (y2, y1)
-            if lo == hi:
-                add_atom(lo, part)
+            if piece.slope == 0:  # the intercept exactly, signed zero included
+                parts.append((piece.intercept, piece.intercept, part))
             else:
-                segs.append(UniformSegment(lo, hi, part))
-    return MixtureDistribution(
-        atoms=tuple(Atom(y, w) for y, w in pool.items()), segments=tuple(segs)
+                parts.append((piece.value(u), piece.value(v), part))
+    return _mixture_of_images(
+        [(_apply_piecewise(m, a.location), a.mass) for a in d.atoms], parts
     )
 
 
@@ -407,23 +408,55 @@ def equivariant_quantile(
     if not isinstance(side, QuantileSide):
         raise TypeError(f"side must be a QuantileSide, got {side!r}")
     rising = m.direction is Direction.NON_DECREASING
-    if side is QuantileSide.LEFT:
-        ok = m.is_left_continuous() if rising else m.is_right_continuous()
-        needed = "left" if rising else "right"
-    else:
-        ok = m.is_right_continuous() if rising else m.is_left_continuous()
-        needed = "right" if rising else "left"
-    if not ok:
+    needs_left = (side is QuantileSide.LEFT) == rising
+    if not (m.is_left_continuous() if needs_left else m.is_right_continuous()):
         raise ContinuityMismatchError(
             f"{side.value}-quantile equivariance through a "
             f"{m.direction.value.replace('_', '-')} map requires a "
-            f"{needed}-continuous map, and this one is not"
+            f"{'left' if needs_left else 'right'}-continuous map, and this one is not"
         )
-    if side is QuantileSide.LEFT:
-        q = left_quantile(d, p) if rising else right_quantile(d, 1 - p)
-    else:
-        q = right_quantile(d, p) if rising else left_quantile(d, 1 - p)
-    return apply_map(m, q)
+    # X's left quantile is the one to transport exactly when the map
+    # needs left continuity
+    level = p if rising else 1 - p
+    return apply_map(m, left_quantile(d, level) if needs_left else right_quantile(d, level))
+
+
+class Transport(Enum):
+    """Verdict on one transported quantile; the values are the labels
+    the CLI prints."""
+
+    NOT_CLAIMED = "boundary"
+    EQUAL = "yes"
+    UNEQUAL = "NO"
+
+
+def check_transport(
+    push: MixtureDistribution, p: LevelLike, side: QuantileSide, routed: ExtendedReal
+) -> tuple[ExtendedReal, Transport]:
+    """The pushforward's quantile at ``p`` and whether ``routed`` (from
+    `equivariant_quantile`) matches it.
+
+    The identity quantifies over reals, so it is not claimed at level 0
+    on the left or level 1 on the right when ``routed`` is finite: a map
+    bounded below routes lq(0) to its finite range edge, while lq(0) of
+    the image is -inf by convention.  Otherwise the two must be
+    bit-equal, except that an answer inside a pushforward segment (not
+    at one of its atoms) may differ from ``routed`` by float rounding,
+    within a fixed absolute allowance.
+    """
+    p = as_level(p)
+    direct = quantile_at(push, p, side)
+    finite = not (isinstance(routed, float) and math.isinf(routed))
+    if finite and p == (0 if side is QuantileSide.LEFT else 1):
+        return direct, Transport.NOT_CLAIMED
+    if direct == routed or (
+        finite
+        and not (isinstance(direct, float) and math.isinf(direct))
+        and not any(direct == a.location for a in push.atoms)
+        and abs(float(direct) - float(routed)) <= 1e-12
+    ):
+        return direct, Transport.EQUAL
+    return direct, Transport.UNEQUAL
 
 
 def equivariance_counterexample():
@@ -459,15 +492,23 @@ _BOUND_STRINGS = {
 }
 
 
-def _bound_from_spec(v) -> float:
+def _number_from_spec(v, what: str) -> float:
+    # a JSON number: an int or a float, but not a bool
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise MapSpecError(f"{what} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise MapSpecError(f"{what} lies past the float range") from None
+
+
+def _bound_from_spec(v, what: str) -> float:
     if isinstance(v, str):
         try:
             return _BOUND_STRINGS[v.strip().lower()]
         except KeyError:
             raise MapSpecError(f"bad interval bound {v!r}") from None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise MapSpecError(f"bad interval bound {v!r}")
-    return float(v)
+    return _number_from_spec(v, what)
 
 
 def _bound_to_spec(v: float):
@@ -512,12 +553,8 @@ def map_from_spec(spec: dict) -> MonotoneMap:
         if kind == "neglog10":
             return neglog10_map()
         if kind == "affine":
-            a = _require(spec, "a", "affine map")
-            b = spec.get("b", 0.0)
-            for v in (a, b):
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise MapSpecError(f"affine coefficient must be a number, got {v!r}")
-            return affine_map(float(a), float(b))
+            a = _number_from_spec(_require(spec, "a", "affine map"), "affine coefficient")
+            return affine_map(a, _number_from_spec(spec.get("b", 0.0), "affine coefficient"))
         raise MapSpecError(f"unknown smooth map kind {kind!r}")
     direction_raw = _require(spec, "direction", "piecewise map")
     try:
@@ -532,14 +569,14 @@ def map_from_spec(spec: dict) -> MonotoneMap:
         if not isinstance(pr, dict):
             raise MapSpecError(f"piece {i} must be an object")
         ctx = f"piece {i}"
-        lo = _bound_from_spec(_require(pr, "lo", ctx))
-        hi = _bound_from_spec(_require(pr, "hi", ctx))
-        slope = _require(pr, "slope", ctx)
-        intercept = _require(pr, "intercept", ctx)
-        for v in (slope, intercept):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise MapSpecError(f"{ctx}: slope and intercept must be numbers")
-        pieces.append(MapPiece(lo, hi, float(slope), float(intercept)))
+        pieces.append(
+            MapPiece(
+                _bound_from_spec(_require(pr, "lo", ctx), f"{ctx}: 'lo'"),
+                _bound_from_spec(_require(pr, "hi", ctx), f"{ctx}: 'hi'"),
+                _number_from_spec(_require(pr, "slope", ctx), f"{ctx}: 'slope'"),
+                _number_from_spec(_require(pr, "intercept", ctx), f"{ctx}: 'intercept'"),
+            )
+        )
     bps_raw = spec.get("breakpoints", [])
     if not isinstance(bps_raw, list):
         raise MapSpecError("'breakpoints' must be a list")
@@ -549,9 +586,7 @@ def map_from_spec(spec: dict) -> MonotoneMap:
         if not isinstance(br, dict):
             raise MapSpecError(f"breakpoint {i} must be an object")
         at = _require(br, "at", f"breakpoint {i}")
-        if isinstance(at, bool) or not isinstance(at, (int, float)):
-            raise MapSpecError(f"breakpoint {i}: 'at' must be a number")
-        ats.append(float(at))
+        ats.append(_number_from_spec(at, f"breakpoint {i}: 'at'"))
         cont_raw = _require(br, "continuity", f"breakpoint {i}")
         try:
             flags.append(Continuity(cont_raw))

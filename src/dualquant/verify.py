@@ -35,16 +35,17 @@ from .distributions import (
     describe,
     dist_fn,
     essential_bounds,
+    format_extended,
     is_continuous,
     is_strictly_monotone_on_hull,
     negate,
+    stored,
 )
 from .errors import MapDomainError, ContinuityMismatchError, UnsupportedPushforwardError
 from .quantiles import (
     LevelLike,
     QuantileSide,
     left_quantile,
-    quantile_at,
     right_quantile,
 )
 from .transforms import (
@@ -53,7 +54,9 @@ from .transforms import (
     MapPiece,
     MonotoneMap,
     PiecewiseMonotoneMap,
+    Transport,
     affine_map,
+    check_transport,
     equivariant_quantile,
     neglog10_map,
     negation_map,
@@ -124,18 +127,11 @@ class PropertyReport:
         return tuple(r for r in self.results if not r.passed)
 
 
-def _fmt(x: ExtendedReal) -> str:
-    x = as_extended(x)
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    return repr(x)
-
-
 # ---------------------------------------------------------------------------
 # definitional oracle
 
 
-@lru_cache(maxsize=4096)
+@stored
 def _candidate_table(d: MixtureDistribution):
     # fixed (level-independent) candidates with their exact F values:
     # one probe outside the hull on each side, every breakpoint, and
@@ -153,10 +149,18 @@ def _candidate_table(d: MixtureDistribution):
     )
 
 
-@lru_cache(maxsize=1 << 15)
+@stored
+def _candidates_by_level(d: MixtureDistribution) -> dict:
+    return {}  # level -> the candidate grid `_candidates` built for it
+
+
 def _candidates(d: MixtureDistribution, p: Probability):
     # add, per breakpoint interval that carries mass, the point where
     # the (affine) distribution function crosses level p
+    memo = _candidates_by_level(d)
+    found = memo.get(p)
+    if found is not None:
+        return found
     cells = {x: (fc, fo) for x, fc, fo in _candidate_table(d)}
     bps = breakpoints(d)
     for i in range(len(bps) - 1):
@@ -171,7 +175,8 @@ def _candidates(d: MixtureDistribution, p: Probability):
                     dist_fn(d, DistFnFlavor.LEFT_CLOSED, t),
                     dist_fn(d, DistFnFlavor.LEFT_OPEN, t),
                 )
-    return tuple(sorted(cells.items()))
+    memo[p] = found = tuple(sorted(cells.items()))
+    return found
 
 
 _VARIANT_RULES = {
@@ -280,8 +285,10 @@ def _property_results(
     fc_lq = dist_fn(d, DistFnFlavor.LEFT_CLOSED, lq)
     fo_rq = dist_fn(d, DistFnFlavor.LEFT_OPEN, rq)
 
-    out.append(_result("a", fc_lq >= p, f"F(lq)={_fmt(fc_lq)} >= p at lq={_fmt(lq)}"))
-    out.append(_result("b", lq <= rq, f"lq={_fmt(lq)} <= rq={_fmt(rq)}"))
+    out.append(
+        _result("a", fc_lq >= p, f"F(lq)={format_extended(fc_lq)} >= p at lq={format_extended(lq)}")
+    )
+    out.append(_result("b", lq <= rq, f"lq={format_extended(lq)} <= rq={format_extended(rq)}"))
 
     if p == 1:
         out.append(_result("c", True, "vacuous: no level above 1"))
@@ -292,20 +299,24 @@ def _property_results(
             _result(
                 "c",
                 not bad,
-                f"rq={_fmt(rq)} <= lq at {len(higher)} higher levels"
-                + (f"; FAILED at {_fmt(bad[0])}" if bad else ""),
+                f"rq={format_extended(rq)} <= lq at {len(higher)} higher levels"
+                + (f"; FAILED at {format_extended(bad[0])}" if bad else ""),
             )
         )
 
     sup_form = quantile_by_definition(d, p, QuantileVariant.RQ_CLOSED_SUP)
     out.append(
-        _result("d", rq == sup_form, f"rq={_fmt(rq)} == sup-form {_fmt(sup_form)}")
+        _result(
+            "d", rq == sup_form, f"rq={format_extended(rq)} == sup-form {format_extended(sup_form)}"
+        )
     )
 
     between = _interval_mass(d, lq, rq) if lq < rq else Fraction(0)
-    out.append(_result("e", between == 0, f"P(lq < X < rq)={_fmt(between)}"))
+    out.append(_result("e", between == 0, f"P(lq < X < rq)={format_extended(between)}"))
 
-    out.append(_result("f", fo_rq <= p, f"P(X<rq)={_fmt(fo_rq)} <= p at rq={_fmt(rq)}"))
+    out.append(
+        _result("f", fo_rq <= p, f"P(X<rq)={format_extended(fo_rq)} <= p at rq={format_extended(rq)}")
+    )
 
     if p == 0 or p == 1:
         out.append(_result("g", True, "skipped at the endpoint levels (claim is for 0<p<1)"))
@@ -316,12 +327,13 @@ def _property_results(
             _result(
                 "g",
                 ok,
-                f"lq={_fmt(lq)} < rq={_fmt(rq)}: F(lq)={_fmt(fc_lq)} == p and "
-                f"P(X>=rq)={_fmt(gc_rq)} == 1-p",
+                f"lq={format_extended(lq)} < rq={format_extended(rq)}: "
+                f"F(lq)={format_extended(fc_lq)} == p and "
+                f"P(X>=rq)={format_extended(gc_rq)} == 1-p",
             )
         )
     else:
-        out.append(_result("g", True, f"vacuous: lq == rq == {_fmt(lq)}"))
+        out.append(_result("g", True, f"vacuous: lq == rq == {format_extended(lq)}"))
 
     lq1 = lq_fn(d, Fraction(1))
     rq0 = rq_fn(d, Fraction(0))
@@ -337,8 +349,8 @@ def _property_results(
         _result(
             "h",
             finite and closed_mass == 1,
-            f"lq(1)={_fmt(lq1)}, rq(0)={_fmt(rq0)} finite and carry mass "
-            f"{_fmt(closed_mass) if closed_mass is not None else '?'}",
+            f"lq(1)={format_extended(lq1)}, rq(0)={format_extended(rq0)} finite and carry mass "
+            f"{format_extended(closed_mass) if closed_mass is not None else '?'}",
         )
     )
 
@@ -397,8 +409,8 @@ def _symmetry_results(
         _result(
             "S",
             ok,
-            f"lq={_fmt(lq)} == -rq(-X,1-p)={_fmt(lq_mirror)}; "
-            f"rq={_fmt(rq)} == -lq(-X,1-p)={_fmt(rq_mirror)}",
+            f"lq={format_extended(lq)} == -rq(-X,1-p)={format_extended(lq_mirror)}; "
+            f"rq={format_extended(rq)} == -lq(-X,1-p)={format_extended(rq_mirror)}",
         )
     ]
 
@@ -448,15 +460,12 @@ def _variant_results(
         _result(
             "V",
             ok,
-            f"3 lq variants == {_fmt(lq)}: {ok_lq}; 3 rq variants == {_fmt(rq)}: {ok_rq}; "
+            f"3 lq variants == {format_extended(lq)}: {ok_lq}; "
+            f"3 rq variants == {format_extended(rq)}: {ok_rq}; "
             f"continuity flavor-free and jump-checked: {ok_cont}; "
             f"strict-monotonicity flavor-free and gap-checked: {ok_mono}",
         )
     ]
-
-
-def _is_inf(x: ExtendedReal) -> bool:
-    return isinstance(x, float) and math.isinf(x)
 
 
 def _equivariance_results(
@@ -476,36 +485,21 @@ def _equivariance_results(
         for side in (QuantileSide.LEFT, QuantileSide.RIGHT):
             try:
                 routed = equivariant_quantile(d, m, p, side)
-            except ContinuityMismatchError:
-                skipped += 1  # hypothesis not met; the identity is not claimed
-                continue
-            except MapDomainError:
-                skipped += 1  # preimage quantile outside the map's domain closure
-                continue
-            if p == 0 and side is QuantileSide.LEFT and not _is_inf(routed):
-                # map bounded below: lq of the image at 0 is -inf by
-                # convention while the routed value is the finite range
-                # edge; the identity quantifies over reals and does not
-                # cover this corner
+            except (ContinuityMismatchError, MapDomainError):
+                # hypothesis not met, or the preimage quantile lies outside
+                # the map's domain closure: the identity is not claimed
                 skipped += 1
                 continue
-            if p == 1 and side is QuantileSide.RIGHT and not _is_inf(routed):
+            direct, verdict = check_transport(push, p, side, routed)
+            if verdict is Transport.NOT_CLAIMED:
                 skipped += 1
                 continue
-            direct = quantile_at(push, p, side)
             checked += 1
-            if direct == routed:
-                continue
-            if (
-                not _is_inf(direct)
-                and not _is_inf(routed)
-                and not any(direct == a.location for a in push.atoms)
-                and abs(float(direct) - float(routed)) <= 1e-12
-            ):
-                continue  # segment-interior result: float rounding allowance
-            failures.append(
-                f"{name}/{side.value}: direct {_fmt(direct)} != routed {_fmt(routed)}"
-            )
+            if verdict is Transport.UNEQUAL:
+                failures.append(
+                    f"{name}/{side.value}: direct {format_extended(direct)} "
+                    f"!= routed {format_extended(routed)}"
+                )
     ok = not failures
     detail = f"{checked} identities checked, {skipped} skipped over {len(maps)} maps"
     if failures:
@@ -557,8 +551,8 @@ def stock_maps() -> tuple[tuple[str, MonotoneMap], ...]:
     both curved smooth kinds, flat interior stretches, and negation.
 
     Tail pieces are strictly monotone so the maps are unbounded on both
-    ends (jump maps aside, see the bounded-range skip rule in the
-    equivariance checker).
+    ends (jump maps aside, see the boundary rule in
+    `transforms.check_transport`).
     """
     nd = Direction.NON_DECREASING
     ni = Direction.NON_INCREASING

@@ -157,6 +157,19 @@ class TestExitCodes:
         assert "left-continuous" in res.stderr
 
 
+    @pytest.mark.parametrize(
+        "cell, spec", [("-400", '{"kind":"pow10neg"}'), ("1e308", '{"kind":"affine","a":10}')]
+    )
+    def test_images_past_the_float_range_are_5(self, runner, tmp_path, cell, spec):
+        f = tmp_path / "big.csv"
+        f.write_text(f"v\n1.0\n{cell}\n")
+        res = runner.invoke(
+            main, ["transform", str(f), "--column", "v", "--levels", "0.5", "--map", spec]
+        )
+        assert res.exit_code == 5
+        assert "float range" in res.stderr
+
+
 class TestSymmetryCommand:
     def test_columns_pass_and_narrative_shows_the_one_row_shift(self, runner, rain):
         res = runner.invoke(main, ["symmetry", rain, "--column", "pH", "--levels", "0.2,0.8"])
@@ -204,6 +217,15 @@ class TestTransformCommand:
         assert res.exit_code == 0
         row = rows_of(res.stdout)[1]
         assert row[1] == row[2] and row[3] == "yes"
+
+    def test_boundary_level_is_not_claimed(self, runner, rain):
+        res = runner.invoke(
+            main,
+            ["transform", rain, "--column", "pH", "--levels", "0",
+             "--map", '{"kind":"pow10neg"}', "--side", "left"],
+        )
+        assert res.exit_code == 0
+        assert rows_of(res.stdout)[1] == ["0.0", "-inf", "0.0", "boundary"]
 
     def test_map_spec_from_file(self, runner, rain, tmp_path):
         f = tmp_path / "map.json"

@@ -190,6 +190,10 @@ class TestConstruction:
         with pytest.raises(BadValueError):
             make_empirical([float("inf")])
 
+    def test_rejects_ints_past_the_float_range(self):
+        with pytest.raises(BadValueError):
+            make_empirical([10**400])
+
     def test_touching_segments_allowed(self, touching_segments):
         assert len(touching_segments.segments) == 2
 

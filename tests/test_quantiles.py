@@ -20,8 +20,8 @@ from dualquant import (
     QuantileVariant,
     UniformSegment,
     left_quantile,
-    left_quantile_via_symmetry,
     make_empirical,
+    negate,
     quantile_at,
     quantile_by_definition,
     quantile_pair,
@@ -170,18 +170,18 @@ class TestPairAndDispatch:
 class TestMirrorIdentity:
     @pytest.mark.parametrize("p", [Fraction(k, 20) for k in range(21)])
     def test_left_quantile_computable_through_negation(self, ph_dist, p):
-        assert left_quantile_via_symmetry(ph_dist, p) == left_quantile(ph_dist, p)
+        assert -right_quantile(negate(ph_dist), 1 - p) == left_quantile(ph_dist, p)
 
     def test_holds_on_segments_too(self, atom_plus_segment, gapped):
         levels = [Fraction(0), Fraction(1, 8), Fraction(3, 10), Fraction(1, 2), Fraction(9, 10), Fraction(1)]
         for d in (atom_plus_segment, gapped):
             for p in levels:
-                assert left_quantile_via_symmetry(d, p) == left_quantile(d, p)
+                assert -right_quantile(negate(d), 1 - p) == left_quantile(d, p)
 
     def test_single_point_mass(self):
         d = make_empirical([2.5, 2.5, 2.5])
         assert left_quantile(d, "0.5") == right_quantile(d, "0.5") == 2.5
-        assert left_quantile_via_symmetry(d, "0.5") == 2.5
+        assert -right_quantile(negate(d), 1 - Fraction(1, 2)) == left_quantile(d, "0.5") == 2.5
 
 
 LEVELS = standard_levels()

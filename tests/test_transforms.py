@@ -40,6 +40,7 @@ from dualquant import (
     right_quantile,
     stock_maps,
 )
+from dualquant.transforms import Transport, check_transport
 
 INF = float("inf")
 LEFT, RIGHT = QuantileSide.LEFT, QuantileSide.RIGHT
@@ -249,6 +250,13 @@ class TestPushforward:
         with pytest.raises(MapDomainError):
             pushforward(d, neglog10_map())
 
+    @pytest.mark.parametrize(
+        "value, m", [(-400.0, pow10_neg_map()), (1e308, affine_map(10.0))]
+    )
+    def test_images_past_the_float_range_are_a_domain_error(self, value, m):
+        with pytest.raises(MapDomainError):
+            pushforward(make_empirical([1.0, value]), m)
+
     def test_total_mass_is_preserved(self):
         d = mixed_dist()
         for m in (affine_map(-3.0, 0.5), STOCK["nd_jump_right"], STOCK["ni_flat_mid"]):
@@ -324,6 +332,34 @@ class TestEquivariance:
             equivariant_quantile(d, m, p, LEFT)
 
 
+class TestTransportRule:
+    def test_bit_equal_answers_are_equal(self, ph_dist):
+        m = pow10_neg_map()
+        routed = equivariant_quantile(ph_dist, m, "0.2", LEFT)
+        direct, verdict = check_transport(pushforward(ph_dist, m), Fraction(1, 5), LEFT, routed)
+        assert verdict is Transport.EQUAL and direct == routed
+
+    def test_segment_interior_answer_within_rounding_is_equal(self):
+        direct, verdict = check_transport(unit_uniform(), Fraction(1, 3), LEFT, 1 / 3 + 1e-13)
+        assert direct == Fraction(1, 3)
+        assert verdict is Transport.EQUAL
+        _, verdict = check_transport(unit_uniform(), Fraction(1, 3), LEFT, 1 / 3 + 1e-11)
+        assert verdict is Transport.UNEQUAL
+
+    def test_atom_answer_one_ulp_off_is_unequal(self):
+        push = make_empirical([1.0, 2.0])
+        routed = math.nextafter(1.0, 2.0)
+        direct, verdict = check_transport(push, Fraction(1, 4), LEFT, routed)
+        assert direct == 1.0
+        assert verdict is Transport.UNEQUAL
+
+    @pytest.mark.parametrize("p, side, direct", [(0, LEFT, NEG_INF), (1, RIGHT, POS_INF)])
+    def test_finite_routed_value_at_the_boundary_is_not_claimed(self, p, side, direct):
+        push = make_empirical([1.0, 2.0])
+        assert check_transport(push, p, side, 0.0) == (direct, Transport.NOT_CLAIMED)
+        assert check_transport(push, p, side, direct) == (direct, Transport.EQUAL)
+
+
 class TestMapSpecs:
     def test_smooth_round_trips(self):
         for m in (negation_map(), affine_map(2.0, 1.0), pow10_neg_map(), neglog10_map()):
@@ -358,6 +394,8 @@ class TestMapSpecs:
                     {"lo": 0.0, "hi": "inf", "slope": 1.0, "intercept": 1.0},
                 ],
             },
+            {"kind": "affine", "a": 10**400},
+            {"kind": "affine", "a": True},
         ],
     )
     def test_bad_specs_are_rejected(self, spec):
