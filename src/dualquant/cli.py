@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import click
@@ -112,12 +113,11 @@ def _load_column(path: str, column: str, weights, delimiter: str, header):
     except OSError as exc:
         _fail(EXIT_IO, f"cannot read {path}: {exc.strerror or exc}")
     reader = csv.reader(text.splitlines(), delimiter=delimiter)
-    rows = []
-    for row in reader:
-        if not row or all(not c.strip() for c in row):
-            continue
-        rows.append((reader.line_num, [c.strip() for c in row]))
-    if not rows:
+    # the non-blank rows with their line numbers, read one at a time; the
+    # header row is stripped whole, a data row only in the cells read below
+    rows = ((reader.line_num, row) for row in reader if "".join(row).strip())
+    first = next(rows, None)
+    if first is None:
         _fail(EXIT_PARSE, f"{path}: file has no rows")
 
     named = [s for s in (column, weights) if s is not None and not _is_index(s)]
@@ -126,20 +126,19 @@ def _load_column(path: str, column: str, weights, delimiter: str, header):
             header = True
         else:
             idx = int(column)
-            first = rows[0][1]
-            header = not (0 <= idx < len(first) and _is_number(first[idx]))
+            cells = first[1]
+            header = not (0 <= idx < len(cells) and _is_number(cells[idx].strip()))
     if header:
-        header_row = rows[0][1]
-        data_rows = rows[1:]
+        header_row = [c.strip() for c in first[1]]
+        first = next(rows, None)
     else:
         header_row = None
-        data_rows = rows
     if named and header_row is None:
         _fail(EXIT_PARSE, f"{path}: column {named[0]!r} needs a header row, but --no-header was given")
-    if not data_rows:
+    if first is None:
         _fail(EXIT_PARSE, f"{path}: no data rows")
 
-    n_cols = len(data_rows[0][1])
+    n_cols = len(first[1])
     ci = _resolve_column(column, header_row, n_cols, path)
     wi = _resolve_column(weights, header_row, n_cols, path) if weights is not None else None
     col_label = header_row[ci] if header_row else f"column {ci}"
@@ -147,11 +146,12 @@ def _load_column(path: str, column: str, weights, delimiter: str, header):
 
     values: list[float] = []
     wvals: list[Fraction] = []
-    for line_num, row in data_rows:
-        for idx, label in ((ci, col_label), (wi, w_label)) if wi is not None else ((ci, col_label),):
-            if idx >= len(row):
-                _fail(EXIT_PARSE, f"{path}: line {line_num} has {len(row)} fields, {label} is missing")
-        cell = row[ci]
+    width = 1 + max(i for i in (ci, wi) if i is not None)  # the fields a row must have
+    for line_num, row in chain((first,), rows):
+        if len(row) < width:
+            label = col_label if ci >= len(row) else w_label
+            _fail(EXIT_PARSE, f"{path}: line {line_num} has {len(row)} fields, {label} is missing")
+        cell = row[ci].strip()
         try:
             v = float(cell)
         except ValueError:
@@ -160,12 +160,12 @@ def _load_column(path: str, column: str, weights, delimiter: str, header):
             _fail(EXIT_PARSE, f"{path}: line {line_num}, {col_label}: {cell!r} is not finite")
         values.append(v)
         if wi is not None:
-            wcell = row[wi]
+            wcell = row[wi].strip()
             try:
                 w = as_exact(wcell)
             except ValueError:
                 _fail(EXIT_PARSE, f"{path}: line {line_num}, {w_label}: cannot parse weight {wcell!r}")
-            if w <= 0:
+            if w.numerator <= 0:
                 _fail(EXIT_PARSE, f"{path}: line {line_num}, {w_label}: weight must be positive, got {wcell!r}")
             wvals.append(w)
     return values, (wvals if wi is not None else None), col_label

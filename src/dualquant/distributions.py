@@ -52,6 +52,9 @@ ExtendedReal = Union[float, Fraction]
 # An exact probability in [0, 1].
 Probability = Fraction
 
+# The largest decimal exponent, in magnitude, that `as_exact` reads.
+MAX_EXPONENT = 10_000
+
 
 def as_exact(value: Union[int, float, str, Fraction]) -> Fraction:
     """Read ``value`` as an exact rational.
@@ -61,9 +64,11 @@ def as_exact(value: Union[int, float, str, Fraction]) -> Fraction:
     means exactly 1/5, the number that was typed, rather than the nearest
     double, which is slightly above 1/5 and would name a different
     quantile on data with an atom exactly at the 20% mark.  Strings
-    parse as exact decimals or fractions ("0.2", "1/5").  Raises
+    parse as exact decimals or fractions ("0.2", "1/5"); a decimal
+    exponent may be at most `MAX_EXPONENT` in magnitude, since the exact
+    value of ``1e-3000000`` takes millions of digits to build.  Raises
     TypeError for any other type and ValueError for a value that names
-    no finite rational.
+    no finite rational or whose exponent is out of bounds.
     """
     if isinstance(value, str):
         text = value
@@ -76,6 +81,13 @@ def as_exact(value: Union[int, float, str, Fraction]) -> Fraction:
     else:
         raise TypeError(f"cannot read a {type(value).__name__} as an exact number")
     try:
+        if text.isascii() and text.isdigit():  # the common weight cell: skip the regex
+            return Fraction(int(text))
+        # every exponent Fraction accepts, int accepts too, so a failure
+        # here names text that Fraction would refuse anyway
+        _, e, exponent = text.upper().partition("E")
+        if e and abs(int(exponent)) > MAX_EXPONENT:
+            raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{value!r} is not a finite number") from None
@@ -122,12 +134,14 @@ def _exact_positive(value, error_cls, what: str) -> Fraction:
         q = as_exact(value)
     except (TypeError, ValueError):
         raise error_cls(f"{what} must be a positive number, got {value!r}") from None
-    if q <= 0:
+    if q.numerator <= 0:
         raise error_cls(f"{what} must be positive, got {value!r}")
     return q
 
 
 def _finite_float(value, what: str) -> float:
+    if type(value) is float and math.isfinite(value):
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BadValueError(f"{what} must be a finite real, got {value!r}")
     try:
@@ -257,25 +271,30 @@ def make_empirical(
 ) -> MixtureDistribution:
     """Empirical distribution of a data vector.
 
-    Duplicate values pool their weight into a single atom.  Without
-    weights every observation carries exactly 1/n; explicit weights
-    must be positive and are normalized exactly.
+    Duplicate values pool their weight into a single atom, keyed by the
+    first of them seen (so ``-0.0`` or ``0.0``, whichever comes first).
+    Without weights every observation carries exactly 1/n; explicit
+    weights must be positive and are normalized exactly.
     """
     values = list(values)
     if not values:
         raise EmptyDataError("no data values")
     if weights is None:
-        ws = [Fraction(1, len(values))] * len(values)
+        ws = [1] * len(values)
     else:
         ws = list(weights)
         if len(ws) != len(values):
             raise BadWeightError(f"{len(values)} values but {len(ws)} weights")
         ws = [_exact_positive(w, BadWeightError, "weight") for w in ws]
-    pooled: dict[float, Fraction] = {}
+    # pool integer numerators over one common denominator; each atom's
+    # exact mass is then built once, already normalized
+    den = math.lcm(*{w.denominator for w in ws})
+    pooled: dict[float, int] = {}
     for v, w in zip(values, ws):
         v = _finite_float(v, "data value")
-        pooled[v] = pooled.get(v, Fraction(0)) + w
-    return MixtureDistribution(atoms=tuple(Atom(v, w) for v, w in pooled.items()))
+        pooled[v] = pooled.get(v, 0) + w.numerator * (den // w.denominator)
+    total = sum(pooled.values())
+    return MixtureDistribution(atoms=tuple(Atom(v, Fraction(c, total)) for v, c in pooled.items()))
 
 
 @stored

@@ -402,7 +402,10 @@ def equivariant_quantile(
     matches the requested side (left quantile: left-continuous if
     non-decreasing, right-continuous if non-increasing; mirrored for
     the right quantile); otherwise ContinuityMismatchError is raised.
-    Equals the directly computed quantile of pushforward(d, m).
+    Equals the directly computed quantile of pushforward(d, m).  The
+    sentinel lq(0) = -inf lies below all the data, not at a point of
+    them; sent through neglog10, which is defined on (0, +inf) only, it
+    gives the map's limit at that edge of its domain, +inf.
     """
     p = as_level(p)
     if not isinstance(side, QuantileSide):
@@ -418,7 +421,10 @@ def equivariant_quantile(
     # X's left quantile is the one to transport exactly when the map
     # needs left continuity
     level = p if rising else 1 - p
-    return apply_map(m, left_quantile(d, level) if needs_left else right_quantile(d, level))
+    x = left_quantile(d, level) if needs_left else right_quantile(d, level)
+    if x == NEG_INF and isinstance(m, SmoothMonotoneMap) and m.kind is SmoothKind.NEGLOG10:
+        return POS_INF
+    return apply_map(m, x)
 
 
 class Transport(Enum):

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, formats, and the documented exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -96,6 +97,36 @@ class TestQuantileCommand:
         row = json.loads(res.stdout)["rows"][0]
         assert (row["left"], row["right"]) == (1.0, 2.0)
 
+    @pytest.mark.parametrize("cell", [" 7 ", "+7", "07", "1_000", "\u0663", "0.5", "1/3"])
+    def test_weight_cells_read_as_exact_numbers(self, runner, tmp_path, cell):
+        # a weight cell means the exact number Fraction reads from it once
+        # stripped: check against the quantiles of weights 1, w, 1 on 1, 2, 3
+        w = Fraction(cell.strip())
+        f = tmp_path / "w.csv"
+        f.write_text(f"v,w\n1.0,1\n2.0,{cell}\n3.0,1\n", encoding="utf-8")
+        total = w + 2
+        levels = [Fraction(1, 2) / total, 1 / total, (1 + w) / total, (2 + w) / (2 * total)]
+        res = runner.invoke(
+            main,
+            ["quantile", str(f), "--column", "v", "--weights", "w", "--format", "json",
+             "--levels", ",".join(f"{p.numerator}/{p.denominator}" for p in levels)],
+        )
+        assert res.exit_code == 0, res.stderr
+        got = [(r["left"], r["right"]) for r in json.loads(res.stdout)["rows"]]
+        assert got == [(1.0, 1.0), (1.0, 2.0), (2.0, 3.0), (2.0, 2.0)]
+
+    def test_header_names_are_stripped(self, runner, tmp_path):
+        f = tmp_path / "spaced.csv"
+        f.write_text(" v , w \n 1.0 , 1 \n2.0,3\n")
+        res = runner.invoke(
+            main,
+            ["quantile", str(f), "--column", "v", "--weights", "w", "--levels", "0.5",
+             "--format", "json"],
+        )
+        assert res.exit_code == 0, res.stderr
+        out = json.loads(res.stdout)
+        assert out["column"] == "v" and out["rows"][0]["left"] == 2.0
+
 
 class TestExitCodes:
     def test_unreadable_file_is_2(self, runner):
@@ -123,6 +154,22 @@ class TestExitCodes:
         res = runner.invoke(main, ["quantile", rain, "--column", "pH", "--levels", "1.5"])
         assert res.exit_code == 4
         assert "[0, 1]" in res.stderr
+
+    @pytest.mark.parametrize("level", ["1e-3000000", "1e-10001"])
+    def test_level_with_a_huge_exponent_is_4(self, runner, rain, level):
+        res = runner.invoke(main, ["quantile", rain, "--column", "pH", "--levels", level])
+        assert res.exit_code == 4
+        assert f"cannot parse level {level!r}" in res.stderr
+
+    @pytest.mark.parametrize("cell", ["1e-3000000", "1e10001"])
+    def test_weight_with_a_huge_exponent_is_3_with_its_line(self, runner, tmp_path, cell):
+        f = tmp_path / "w.csv"
+        f.write_text(f"v,w\n1.0,1\n2.0,{cell}\n")
+        res = runner.invoke(
+            main, ["quantile", str(f), "--column", "v", "--weights", "w", "--levels", "0.5"]
+        )
+        assert res.exit_code == 3
+        assert f"line 3, w: cannot parse weight {cell!r}" in res.stderr
 
     def test_bad_map_spec_is_5(self, runner, rain):
         res = runner.invoke(
@@ -226,6 +273,15 @@ class TestTransformCommand:
         )
         assert res.exit_code == 0
         assert rows_of(res.stdout)[1] == ["0.0", "-inf", "0.0", "boundary"]
+
+    def test_neglog10_boundary_routes_to_its_limit(self, runner, rain):
+        res = runner.invoke(
+            main,
+            ["transform", rain, "--column", "pH", "--levels", "0.5,1",
+             "--map", '{"kind":"neglog10"}', "--side", "right"],
+        )
+        assert res.exit_code == 0, res.stderr
+        assert rows_of(res.stdout)[2] == ["1.0", "+inf", "+inf", "yes"]
 
     def test_map_spec_from_file(self, runner, rain, tmp_path):
         f = tmp_path / "map.json"

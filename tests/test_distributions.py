@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualquant import (
     NEG_INF,
@@ -26,6 +28,7 @@ from dualquant import (
     make_empirical,
     negate,
 )
+from dualquant.distributions import MAX_EXPONENT, as_exact
 
 F_CLOSED = DistFnFlavor.LEFT_CLOSED
 F_OPEN = DistFnFlavor.LEFT_OPEN
@@ -73,7 +76,9 @@ class TestLevelCoercion:
         assert as_level(1) == Fraction(1)
         assert as_level(0) == Fraction(0)
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan"), float("inf"), "x", "1/0"])
+    @pytest.mark.parametrize(
+        "bad", [-0.1, 1.5, float("nan"), float("inf"), "x", "1/0", "1e-3000000", "1e-10001"]
+    )
     def test_rejects_bad_levels(self, bad):
         with pytest.raises(BadValueError):
             as_level(bad)
@@ -81,6 +86,19 @@ class TestLevelCoercion:
     def test_rejects_non_numeric_types(self):
         with pytest.raises(TypeError):
             as_level(None)
+
+    def test_exponent_bound_is_inclusive(self):
+        assert MAX_EXPONENT == 10_000
+        assert as_level("1e-10000") == Fraction(1, 10**10000)
+        assert as_exact("1E+10000") == 10**10000
+        with pytest.raises(ValueError):
+            as_exact("1e+10001")
+
+    @pytest.mark.parametrize("text", ["0", "7", "07", "+7", " 7 ", "1_000", "\u0663", "1E+\u0663"])
+    def test_shortcuts_read_what_fraction_reads(self, text):
+        # the int shortcut for digit strings and the exponent bound's int
+        # reading both agree with Fraction on the text they see
+        assert as_exact(text) == Fraction(text)
 
     @pytest.mark.parametrize("flag", [True, False])
     def test_rejects_bools_like_masses_do(self, flag):
@@ -100,6 +118,25 @@ class TestExtendedCoercion:
     def test_keeps_overflowing_rationals_exact(self):
         big = Fraction(10) ** 400
         assert as_extended(big) == big and isinstance(as_extended(big), Fraction)
+
+
+def atoms_of(d):
+    # locations bit for bit, so -0.0 and 0.0 differ
+    return [(a.location.hex(), a.mass) for a in d.atoms]
+
+
+def fraction_sum_atoms(values, weights):
+    """The plain definition of pooling: add each row's exact weight to its
+    value's running Fraction sum, keyed by the first of equal values seen,
+    then divide by the total."""
+    if weights is None:
+        weights = [1] * len(values)
+    pooled = {}
+    for v, w in zip(values, weights):
+        w = Fraction(repr(w)) if isinstance(w, float) else Fraction(w)
+        pooled[float(v)] = pooled.get(float(v), Fraction(0)) + w
+    total = sum(pooled.values())
+    return [(v.hex(), pooled[v] / total) for v in sorted(pooled)]
 
 
 class TestConstruction:
@@ -127,6 +164,39 @@ class TestConstruction:
         d = make_empirical([1.0, 2.0], weights=["0.5", Fraction(3, 2)])
         assert d.atoms[0].mass == Fraction(1, 4)
         assert d.atoms[1].mass == Fraction(3, 4)
+
+    def test_empirical_pools_like_a_fraction_sum(self):
+        values = [0.0, -0.0, 1.5, 0.0, 1.5, -2.0, -0.0, 7]
+        weights = [3, "0.5", "1/3", Fraction(2, 7), 0.1, 1, Fraction(5, 3), "1e-2"]
+        for vs, ws in ((values, weights), (values[1:], weights[1:]), (values, None)):
+            assert atoms_of(make_empirical(vs, ws)) == fraction_sum_atoms(vs, ws)
+
+    @settings(deadline=None, database=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([-0.0, 0.0, 1.5, -2.0, 3.25, 1e300, 5e-324, 2]),
+                st.one_of(
+                    st.integers(1, 10**20),
+                    st.fractions(min_value=Fraction(1, 10**6), max_value=10**6),
+                    st.floats(min_value=1e-6, max_value=1e6),
+                    st.sampled_from(["0.5", "1/3", "07", "2e-3", "1_000"]),
+                ),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_empirical_pooling_matches_a_fraction_sum(self, rows):
+        values, weights = zip(*rows)
+        assert atoms_of(make_empirical(values, weights)) == fraction_sum_atoms(values, weights)
+        assert atoms_of(make_empirical(values)) == fraction_sum_atoms(values, None)
+
+    def test_rejects_weights_with_huge_exponents(self):
+        with pytest.raises(BadWeightError):
+            make_empirical([1.0, 2.0], weights=[1, "1e-3000000"])
+        with pytest.raises(BadWeightError):
+            Atom(0.0, "1e3000000")
 
     def test_mixture_normalizes_total_mass(self):
         d = MixtureDistribution(

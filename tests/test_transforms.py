@@ -322,6 +322,17 @@ class TestEquivariance:
         with pytest.raises(ContinuityMismatchError):
             equivariant_quantile(mixed_dist(), STOCK[name], Fraction(1, 2), side)
 
+    def test_neglog10_routes_the_lower_sentinel_to_its_limit(self):
+        # rq(1) of -log10(X) is +inf; it is routed from lq(0) = -inf, which
+        # lies outside the map's domain (0, +inf) but is the sentinel for
+        # the edge where the map's limit is +inf
+        d = make_empirical([0.25, 1.5])
+        m = neglog10_map()
+        push = pushforward(d, m)
+        assert equivariant_quantile(d, m, 1, RIGHT) == POS_INF == quantile_at(push, 1, RIGHT)
+        assert check_transport(push, 1, RIGHT, POS_INF) == (POS_INF, Transport.EQUAL)
+        assert equivariant_quantile(d, m, 0, LEFT) == NEG_INF == quantile_at(push, 0, LEFT)
+
     def test_counterexample_shows_the_hypothesis_matters(self):
         d, m, p, direct, naive = equivariance_counterexample()
         assert (direct, naive) == (0.5, 1.5)

@@ -20,6 +20,7 @@ from dualquant import (
     check_symmetry,
     left_quantile,
     make_empirical,
+    neglog10_map,
     negation_map,
     off_by_one_left_quantile,
     quantile_by_definition,
@@ -29,7 +30,14 @@ from dualquant import (
     standard_levels,
     stock_maps,
 )
-from dualquant.verify import first_failure, report_to_dict, reports_to_json, suite_passed, summarize
+from dualquant.verify import (
+    _equivariance_results,
+    first_failure,
+    report_to_dict,
+    reports_to_json,
+    suite_passed,
+    summarize,
+)
 
 LQ_VARIANTS = [v for v in QuantileVariant if v.name.startswith("LQ")]
 RQ_VARIANTS = [v for v in QuantileVariant if v.name.startswith("RQ")]
@@ -100,6 +108,14 @@ class TestPropertyChecks:
         report = check_quantile_properties(ph_dist, "0.2", lq_fn=off_by_one_left_quantile)
         assert not report.passed
         assert report.failures()
+
+    def test_equivariance_checks_the_neglog10_boundary(self):
+        # at level 1 the right side is routed from lq(0) = -inf to the
+        # map's limit +inf, so both sides are checked, none skipped
+        d = make_empirical([0.25, 1.5])
+        (res,) = _equivariance_results(d, Fraction(1), [("neglog10", neglog10_map())])
+        assert res.passed
+        assert res.details == "2 identities checked, 0 skipped over 1 maps"
 
     def test_symmetry_battery(self, ph_dist):
         for d in oracle_subjects(ph_dist):
