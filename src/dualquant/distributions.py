@@ -280,21 +280,33 @@ def make_empirical(
     if not values:
         raise EmptyDataError("no data values")
     if weights is None:
-        ws = [1] * len(values)
+        ws = [Fraction(1, len(values))] * len(values)
     else:
         ws = list(weights)
         if len(ws) != len(values):
             raise BadWeightError(f"{len(values)} values but {len(ws)} weights")
         ws = [_exact_positive(w, BadWeightError, "weight") for w in ws]
-    # pool integer numerators over one common denominator; each atom's
-    # exact mass is then built once, already normalized
-    den = math.lcm(*{w.denominator for w in ws})
-    pooled: dict[float, int] = {}
+    # pool integer numerators, each value's over the common denominator of
+    # its own weights: per row this is integer work on numbers that grow
+    # with the denominators of that value's weights only, not with every
+    # denominator in the column.  The mixture then normalizes once per
+    # distinct value (unweighted masses k/n already sum to 1).
+    nums: dict[float, int] = {}
+    dens: dict[float, int] = {}
     for v, w in zip(values, ws):
         v = _finite_float(v, "data value")
-        pooled[v] = pooled.get(v, 0) + w.numerator * (den // w.denominator)
-    total = sum(pooled.values())
-    return MixtureDistribution(atoms=tuple(Atom(v, Fraction(c, total)) for v, c in pooled.items()))
+        n, d = w.numerator, w.denominator
+        dv = dens.setdefault(v, d)
+        if d != dv:
+            lcm = math.lcm(dv, d)
+            nums[v] *= lcm // dv
+            n *= lcm // d
+            dens[v] = lcm
+        nums[v] = nums.get(v, 0) + n
+    # both dicts gained each key on the same row, so they iterate alike
+    return MixtureDistribution(
+        atoms=tuple(Atom(v, Fraction(n, d)) for (v, n), d in zip(nums.items(), dens.values()))
+    )
 
 
 @stored

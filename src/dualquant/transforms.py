@@ -28,6 +28,7 @@ from .distributions import (
     UniformSegment,
     as_extended,
     as_level,
+    essential_bounds,
     negate,
     stored,
 )
@@ -270,6 +271,25 @@ def _apply_smooth(m: SmoothMonotoneMap, x: ExtendedReal) -> ExtendedReal:
     return -math.log10(xf)
 
 
+def _apply_to_quantile(m: MonotoneMap, d: MixtureDistribution, x: ExtendedReal) -> ExtendedReal:
+    """``apply_map(m, x)`` for a quantile ``x`` of ``d``.
+
+    The sentinel lq(0) = -inf lies below all the data, not at a point of
+    them.  Where the data lie in neglog10's domain (0, +inf), it stands
+    for that edge of the domain and maps to the limit there, +inf;
+    ``apply_map(neglog10, -inf)`` itself raises, and so does this for
+    data with a point at or below 0.
+    """
+    if (
+        x == NEG_INF
+        and isinstance(m, SmoothMonotoneMap)
+        and m.kind is SmoothKind.NEGLOG10
+        and essential_bounds(d)[0] > 0
+    ):
+        return POS_INF
+    return apply_map(m, x)
+
+
 def _apply_piecewise(m: PiecewiseMonotoneMap, x: ExtendedReal) -> ExtendedReal:
     if isinstance(x, float) and math.isinf(x):
         piece = m.pieces[-1] if x > 0 else m.pieces[0]
@@ -402,10 +422,7 @@ def equivariant_quantile(
     matches the requested side (left quantile: left-continuous if
     non-decreasing, right-continuous if non-increasing; mirrored for
     the right quantile); otherwise ContinuityMismatchError is raised.
-    Equals the directly computed quantile of pushforward(d, m).  The
-    sentinel lq(0) = -inf lies below all the data, not at a point of
-    them; sent through neglog10, which is defined on (0, +inf) only, it
-    gives the map's limit at that edge of its domain, +inf.
+    Equals the directly computed quantile of pushforward(d, m).
     """
     p = as_level(p)
     if not isinstance(side, QuantileSide):
@@ -422,9 +439,7 @@ def equivariant_quantile(
     # needs left continuity
     level = p if rising else 1 - p
     x = left_quantile(d, level) if needs_left else right_quantile(d, level)
-    if x == NEG_INF and isinstance(m, SmoothMonotoneMap) and m.kind is SmoothKind.NEGLOG10:
-        return POS_INF
-    return apply_map(m, x)
+    return _apply_to_quantile(m, d, x)
 
 
 class Transport(Enum):

@@ -1,6 +1,7 @@
 """Exact-mixture construction and the four distribution-function flavors."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -97,8 +98,15 @@ class TestLevelCoercion:
     @pytest.mark.parametrize("text", ["0", "7", "07", "+7", " 7 ", "1_000", "\u0663", "1E+\u0663"])
     def test_shortcuts_read_what_fraction_reads(self, text):
         # the int shortcut for digit strings and the exponent bound's int
-        # reading both agree with Fraction on the text they see
-        assert as_exact(text) == Fraction(text)
+        # reading both agree with Fraction on the text they see, refusals
+        # included: Fraction reads "1_000" from Python 3.11 on only
+        def reading(read):
+            try:
+                return read(text)
+            except ValueError:
+                return ValueError
+
+        assert reading(as_exact) == reading(Fraction)
 
     @pytest.mark.parametrize("flag", [True, False])
     def test_rejects_bools_like_masses_do(self, flag):
@@ -180,7 +188,7 @@ class TestConstruction:
                     st.integers(1, 10**20),
                     st.fractions(min_value=Fraction(1, 10**6), max_value=10**6),
                     st.floats(min_value=1e-6, max_value=1e6),
-                    st.sampled_from(["0.5", "1/3", "07", "2e-3", "1_000"]),
+                    st.sampled_from(["0.5", "1/3", "07", "2e-3", "1e1"]),
                 ),
             ),
             min_size=1,
@@ -191,6 +199,22 @@ class TestConstruction:
         values, weights = zip(*rows)
         assert atoms_of(make_empirical(values, weights)) == fraction_sum_atoms(values, weights)
         assert atoms_of(make_empirical(values)) == fraction_sum_atoms(values, None)
+
+    def test_pooling_many_denominators_stays_fast(self):
+        # weights 1/p over 3000 distinct primes: one common denominator
+        # for the whole column would have ~40k bits, and normalizing every
+        # atom over it takes some twenty seconds; pooled per value, with each
+        # mass divided by the total once, it takes a fraction of one
+        sieve = [True] * 30_000
+        for k in range(2, math.isqrt(30_000) + 1):
+            sieve[k * k :: k] = [False] * len(sieve[k * k :: k])
+        primes = [k for k in range(2, 30_000) if sieve[k]][:3000]
+        assert len(primes) == 3000
+        t0 = time.perf_counter()
+        d = make_empirical([float(p) for p in primes], [f"1/{p}" for p in primes])
+        elapsed = time.perf_counter() - t0
+        assert d.atoms[0].mass / d.atoms[-1].mass == Fraction(primes[-1], 2)
+        assert elapsed < 3.0, f"{elapsed:.2f} s"
 
     def test_rejects_weights_with_huge_exponents(self):
         with pytest.raises(BadWeightError):

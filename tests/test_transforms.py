@@ -333,6 +333,15 @@ class TestEquivariance:
         assert check_transport(push, 1, RIGHT, POS_INF) == (POS_INF, Transport.EQUAL)
         assert equivariant_quantile(d, m, 0, LEFT) == NEG_INF == quantile_at(push, 0, LEFT)
 
+    @pytest.mark.parametrize("data", [[-1.0, 2.0], [0.0, 2.0], [-0.0, 2.0]])
+    def test_neglog10_sentinel_needs_data_in_the_domain(self, data):
+        # no pushforward exists, so there is no limit to route to
+        d = make_empirical(data)
+        with pytest.raises(MapDomainError):
+            pushforward(d, neglog10_map())
+        with pytest.raises(MapDomainError):
+            equivariant_quantile(d, neglog10_map(), 1, RIGHT)
+
     def test_counterexample_shows_the_hypothesis_matters(self):
         d, m, p, direct, naive = equivariance_counterexample()
         assert (direct, naive) == (0.5, 1.5)
