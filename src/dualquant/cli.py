@@ -15,13 +15,14 @@ import math
 import os
 import sys
 import time
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
 import click
 
-from .distributions import as_exact, format_extended, make_empirical, negate
+from .distributions import as_exact, breakpoints, format_extended, make_empirical, negate
 from .errors import (
     ContinuityMismatchError,
     MapDomainError,
@@ -105,17 +106,29 @@ def _resolve_column(selector: str, header_row, n_cols: int, path: str) -> int:
     return idx
 
 
+def _read_text(path: str, kind: str = "") -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        _fail(EXIT_IO, f"cannot read {kind}{path}: {getattr(exc, 'strerror', None) or exc}")
+
+
+def _nonblank_rows(reader, path: str):
+    # the non-blank rows with their line numbers, read one at a time
+    try:
+        for row in reader:
+            if "".join(row).strip():
+                yield reader.line_num, row
+    except csv.Error as exc:
+        _fail(EXIT_PARSE, f"{path}: line {reader.line_num}: {exc}")
+
+
 def _load_column(path: str, column: str, weights, delimiter: str, header):
     """Read one value column (and optional weight column) from a
     delimited text file.  Returns (values, weights-or-None, column label)."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot read {path}: {exc.strerror or exc}")
-    reader = csv.reader(text.splitlines(), delimiter=delimiter)
-    # the non-blank rows with their line numbers, read one at a time; the
-    # header row is stripped whole, a data row only in the cells read below
-    rows = ((reader.line_num, row) for row in reader if "".join(row).strip())
+    reader = csv.reader(_read_text(path).splitlines(), delimiter=delimiter)
+    # the header row is stripped whole, a data row only in the cells read below
+    rows = _nonblank_rows(reader, path)
     first = next(rows, None)
     if first is None:
         _fail(EXIT_PARSE, f"{path}: file has no rows")
@@ -171,6 +184,14 @@ def _load_column(path: str, column: str, weights, delimiter: str, header):
     return values, (wvals if wi is not None else None), col_label
 
 
+def _check_delimiter(ctx, param, value: str) -> str:
+    try:
+        csv.reader((), delimiter=value)
+    except (TypeError, ValueError) as exc:
+        raise click.BadParameter(str(exc)) from None
+    return value
+
+
 def _data_options(f):
     for option in reversed(
         (
@@ -178,7 +199,8 @@ def _data_options(f):
                          help="value column: header name or 0-based index"),
             click.option("--weights", default=None,
                          help="optional weight column: header name or 0-based index"),
-            click.option("--delimiter", default=",", show_default=True, help="field delimiter"),
+            click.option("--delimiter", default=",", show_default=True, callback=_check_delimiter,
+                         help="field delimiter"),
             click.option("--header/--no-header", "header", default=None,
                          help="treat the first row as a header (default: autodetect)"),
             click.option("--levels", "levels_spec", required=True,
@@ -229,10 +251,9 @@ def quantile(data_file, column, weights, delimiter, header, levels_spec, fmt):
 
 def _row_position(d, x):
     # 1-based rank of x among the distinct sorted data values, if it is one
-    for i, a in enumerate(d.atoms):
-        if a.location == x:
-            return i + 1
-    return None
+    bps = breakpoints(d)
+    i = bisect_left(bps, x)
+    return i + 1 if i < len(bps) and bps[i] == x else None
 
 
 @main.command()
@@ -253,16 +274,16 @@ def symmetry(data_file, column, weights, delimiter, header, levels_spec):
     levels = _parse_levels(levels_spec)
     d = make_empirical(values, wvals)
     nd = negate(d)
+    pairs = [quantile_pair(d, p) for p in levels]
     rows = []
     all_ok = True
-    for p in levels:
-        lq, rq = left_quantile(d, p), right_quantile(d, p)
-        mirror_lq = -right_quantile(nd, 1 - p)
-        mirror_rq = -left_quantile(nd, 1 - p)
-        ok = lq == mirror_lq and rq == mirror_rq
+    for q in pairs:
+        mirror_lq = -right_quantile(nd, 1 - q.level)
+        mirror_rq = -left_quantile(nd, 1 - q.level)
+        ok = q.left == mirror_lq and q.right == mirror_rq
         all_ok &= ok
         rows.append(
-            [*map(format_extended, (float(p), lq, rq, mirror_lq, mirror_rq)),
+            [*map(format_extended, (float(q.level), q.left, q.right, mirror_lq, mirror_rq)),
              "pass" if ok else "FAIL"]
         )
     _print_table(
@@ -270,10 +291,9 @@ def symmetry(data_file, column, weights, delimiter, header, levels_spec):
     )
     click.echo("")
     click.echo(f"traditional quantile vs the traditional quantile of a reversed scale ({label}):")
-    for p in levels:
-        lq, rq = left_quantile(d, p), right_quantile(d, p)
-        ri, rj = _row_position(d, lq), _row_position(d, rq)
-        level, lq_text, rq_text = map(format_extended, (float(p), lq, rq))
+    for q in pairs:
+        ri, rj = _row_position(d, q.left), _row_position(d, q.right)
+        level, lq_text, rq_text = map(format_extended, (float(q.level), q.left, q.right))
         if ri is None or rj is None:
             click.echo(f"  level {level}: {lq_text} vs {rq_text}")
             continue
@@ -293,11 +313,7 @@ def _load_map(map_arg: str):
     if map_arg.lstrip().startswith("{"):
         text = map_arg
     else:
-        path = map_arg[1:] if map_arg.startswith("@") else map_arg
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            _fail(EXIT_IO, f"cannot read map file {path}: {exc.strerror or exc}")
+        text = _read_text(map_arg.removeprefix("@"), "map file ")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

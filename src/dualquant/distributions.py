@@ -221,21 +221,12 @@ class MixtureDistribution:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "segments", segments)
 
-    def __hash__(self):
-        # hashing the exact masses is costly enough to be worth doing once;
-        # memo tables never key on distributions (see `stored`)
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash((self.atoms, self.segments))
-            object.__setattr__(self, "_hash", h)
-        return h
-
 
 def stored(fn):
     """Memoize a function of one distribution on the distribution itself.
 
-    The value is computed on first use and kept in an attribute, the way
-    the hash is.  A hit is the very object it was computed for, so a
+    The value is computed on first use and kept in an attribute of the
+    distribution.  A hit is the very object it was computed for, so a
     distribution never receives a value derived from an equal but
     different one (``-0.0 == 0.0``, so ``lru_cache`` would mix them up).
     """
@@ -379,16 +370,8 @@ def negate(d: MixtureDistribution) -> MixtureDistribution:
 
 def essential_bounds(d: MixtureDistribution) -> tuple[float, float]:
     """(essential infimum, essential supremum) of the support; both finite."""
-    los = []
-    his = []
-    if d.atoms:
-        los.append(d.atoms[0].location)
-        his.append(d.atoms[-1].location)
-    if d.segments:
-        los.append(d.segments[0].lo)
-        # non-overlap means upper endpoints increase with lo
-        his.append(d.segments[-1].hi)
-    return min(los), max(his)
+    bps = breakpoints(d)
+    return bps[0], bps[-1]
 
 
 @stored

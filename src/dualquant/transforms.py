@@ -75,6 +75,15 @@ class Continuity(Enum):
     RIGHT = "right"
 
 
+def _affine(slope: float, intercept: float, x: ExtendedReal) -> ExtendedReal:
+    # exact rationals (segment-interior quantiles) stay exact; float
+    # inputs keep float arithmetic so atom images match pushforward
+    # locations bit for bit
+    if isinstance(x, Fraction):
+        return as_extended(Fraction(slope) * x + Fraction(intercept))
+    return slope * x + intercept
+
+
 @dataclass(frozen=True)
 class MapPiece:
     """One affine piece y = slope*x + intercept on [lo, hi].
@@ -100,12 +109,7 @@ class MapPiece:
         object.__setattr__(self, "intercept", intercept)
 
     def value(self, x) -> ExtendedReal:
-        # exact rationals (segment-interior quantiles) stay exact; float
-        # inputs keep float arithmetic so atom images match pushforward
-        # locations bit for bit
-        if isinstance(x, Fraction):
-            return as_extended(Fraction(self.slope) * x + Fraction(self.intercept))
-        return self.slope * x + self.intercept
+        return _affine(self.slope, self.intercept, x)
 
 
 @dataclass(frozen=True)
@@ -257,9 +261,7 @@ def _apply_smooth(m: SmoothMonotoneMap, x: ExtendedReal) -> ExtendedReal:
             return NEG_INF
         raise MapDomainError("neglog10 is defined on (0, +inf) only")
     if kind is SmoothKind.AFFINE:
-        if isinstance(x, Fraction):
-            return as_extended(Fraction(m.scale) * x + Fraction(m.offset))
-        return m.scale * x + m.offset
+        return _affine(m.scale, m.offset, x)
     xf = float(x)
     if kind is SmoothKind.POW10_NEG:
         try:

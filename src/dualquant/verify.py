@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 from .distributions import (
@@ -267,36 +267,32 @@ def quantile_by_definition(
 # property batteries
 
 
-def _result(check_id: str, passed: bool, details: str) -> CheckResult:
-    return CheckResult(check_id, bool(passed), details)
-
-
 def _interval_mass(d, lo, hi) -> Fraction:
     # P(lo < X < hi); infinite endpoints fall out of the flavor limits
     return dist_fn(d, DistFnFlavor.LEFT_OPEN, hi) - dist_fn(d, DistFnFlavor.LEFT_CLOSED, lo)
 
 
 def _property_results(
-    d: MixtureDistribution, p: Probability, lq_fn: QuantileFn, rq_fn: QuantileFn
+    d: MixtureDistribution, p: Probability, lq_fn: QuantileFn
 ) -> list[CheckResult]:
     out = []
     lq = lq_fn(d, p)
-    rq = rq_fn(d, p)
+    rq = right_quantile(d, p)
     fc_lq = dist_fn(d, DistFnFlavor.LEFT_CLOSED, lq)
     fo_rq = dist_fn(d, DistFnFlavor.LEFT_OPEN, rq)
 
     out.append(
-        _result("a", fc_lq >= p, f"F(lq)={format_extended(fc_lq)} >= p at lq={format_extended(lq)}")
+        CheckResult("a", fc_lq >= p, f"F(lq)={format_extended(fc_lq)} >= p at lq={format_extended(lq)}")
     )
-    out.append(_result("b", lq <= rq, f"lq={format_extended(lq)} <= rq={format_extended(rq)}"))
+    out.append(CheckResult("b", lq <= rq, f"lq={format_extended(lq)} <= rq={format_extended(rq)}"))
 
     if p == 1:
-        out.append(_result("c", True, "vacuous: no level above 1"))
+        out.append(CheckResult("c", True, "vacuous: no level above 1"))
     else:
         higher = sorted({p + (1 - p) * Fraction(k, 4) for k in (1, 2, 3, 4)} | {p + (1 - p) / 97})
         bad = [p2 for p2 in higher if not rq <= lq_fn(d, p2)]
         out.append(
-            _result(
+            CheckResult(
                 "c",
                 not bad,
                 f"rq={format_extended(rq)} <= lq at {len(higher)} higher levels"
@@ -306,25 +302,25 @@ def _property_results(
 
     sup_form = quantile_by_definition(d, p, QuantileVariant.RQ_CLOSED_SUP)
     out.append(
-        _result(
+        CheckResult(
             "d", rq == sup_form, f"rq={format_extended(rq)} == sup-form {format_extended(sup_form)}"
         )
     )
 
     between = _interval_mass(d, lq, rq) if lq < rq else Fraction(0)
-    out.append(_result("e", between == 0, f"P(lq < X < rq)={format_extended(between)}"))
+    out.append(CheckResult("e", between == 0, f"P(lq < X < rq)={format_extended(between)}"))
 
     out.append(
-        _result("f", fo_rq <= p, f"P(X<rq)={format_extended(fo_rq)} <= p at rq={format_extended(rq)}")
+        CheckResult("f", fo_rq <= p, f"P(X<rq)={format_extended(fo_rq)} <= p at rq={format_extended(rq)}")
     )
 
     if p == 0 or p == 1:
-        out.append(_result("g", True, "skipped at the endpoint levels (claim is for 0<p<1)"))
+        out.append(CheckResult("g", True, "skipped at the endpoint levels (claim is for 0<p<1)"))
     elif lq < rq:
         gc_rq = dist_fn(d, DistFnFlavor.RIGHT_CLOSED, rq)
         ok = fc_lq == p and gc_rq == 1 - p
         out.append(
-            _result(
+            CheckResult(
                 "g",
                 ok,
                 f"lq={format_extended(lq)} < rq={format_extended(rq)}: "
@@ -333,10 +329,10 @@ def _property_results(
             )
         )
     else:
-        out.append(_result("g", True, f"vacuous: lq == rq == {format_extended(lq)}"))
+        out.append(CheckResult("g", True, f"vacuous: lq == rq == {format_extended(lq)}"))
 
     lq1 = lq_fn(d, Fraction(1))
-    rq0 = rq_fn(d, Fraction(0))
+    rq0 = right_quantile(d, Fraction(0))
     finite = not (isinstance(lq1, float) and math.isinf(lq1)) and not (
         isinstance(rq0, float) and math.isinf(rq0)
     )
@@ -346,7 +342,7 @@ def _property_results(
         else None
     )
     out.append(
-        _result(
+        CheckResult(
             "h",
             finite and closed_mass == 1,
             f"lq(1)={format_extended(lq1)}, rq(0)={format_extended(rq0)} finite and carry mass "
@@ -356,11 +352,11 @@ def _property_results(
 
     grid = sorted({Fraction(k, 10) for k in range(11)} | {p})
     lqs = [lq_fn(d, q) for q in grid]
-    rqs = [rq_fn(d, q) for q in grid]
+    rqs = [right_quantile(d, q) for q in grid]
     mono = all(a <= b for a, b in zip(lqs, lqs[1:])) and all(
         a <= b for a, b in zip(rqs, rqs[1:])
     )
-    out.append(_result("i", mono, f"both quantile functions non-decreasing over {len(grid)} levels"))
+    out.append(CheckResult("i", mono, f"both quantile functions non-decreasing over {len(grid)} levels"))
 
     bad_atoms = [
         a.location
@@ -368,7 +364,7 @@ def _property_results(
         if lq_fn(d, dist_fn(d, DistFnFlavor.LEFT_CLOSED, a.location)) != a.location
     ]
     out.append(
-        _result(
+        CheckResult(
             "j",
             not bad_atoms,
             f"lq(F(x0)) == x0 at {len(d.atoms)} atoms"
@@ -392,21 +388,21 @@ def _property_results(
         probes = [Fraction(rq) + span * Fraction(j, 8) for j in range(1, 9)]
         ok_k &= all(dist_fn(d, DistFnFlavor.LEFT_CLOSED, x) > p for x in probes)
         notes.append("F > p at 8 probes above rq")
-    out.append(_result("k", ok_k, "; ".join(notes)))
+    out.append(CheckResult("k", ok_k, "; ".join(notes)))
     return out
 
 
 def _symmetry_results(
-    d: MixtureDistribution, p: Probability, lq_fn: QuantileFn, rq_fn: QuantileFn
+    d: MixtureDistribution, p: Probability, lq_fn: QuantileFn
 ) -> list[CheckResult]:
     nd = negate(d)
     lq = lq_fn(d, p)
-    rq = rq_fn(d, p)
+    rq = right_quantile(d, p)
     lq_mirror = -quantile_by_definition(nd, 1 - p, QuantileVariant.RQ_CLOSED_INF)
     rq_mirror = -quantile_by_definition(nd, 1 - p, QuantileVariant.LQ_CLOSED_INF)
     ok = lq == lq_mirror and rq == rq_mirror
     return [
-        _result(
+        CheckResult(
             "S",
             ok,
             f"lq={format_extended(lq)} == -rq(-X,1-p)={format_extended(lq_mirror)}; "
@@ -416,10 +412,10 @@ def _symmetry_results(
 
 
 def _variant_results(
-    d: MixtureDistribution, p: Probability, lq_fn: QuantileFn, rq_fn: QuantileFn
+    d: MixtureDistribution, p: Probability, lq_fn: QuantileFn
 ) -> list[CheckResult]:
     lq = lq_fn(d, p)
-    rq = rq_fn(d, p)
+    rq = right_quantile(d, p)
     lq_defs = {
         v: quantile_by_definition(d, p, v)
         for v in (
@@ -457,7 +453,7 @@ def _variant_results(
 
     ok = ok_lq and ok_rq and ok_cont and ok_mono
     return [
-        _result(
+        CheckResult(
             "V",
             ok,
             f"3 lq variants == {format_extended(lq)}: {ok_lq}; "
@@ -504,21 +500,15 @@ def _equivariance_results(
     detail = f"{checked} identities checked, {skipped} skipped over {len(maps)} maps"
     if failures:
         detail += "; " + "; ".join(failures[:3])
-    return [_result("E", ok, detail)]
+    return [CheckResult("E", ok, detail)]
 
 
 def check_quantile_properties(
-    d: MixtureDistribution,
-    p: LevelLike,
-    *,
-    lq_fn: Optional[QuantileFn] = None,
-    rq_fn: Optional[QuantileFn] = None,
+    d: MixtureDistribution, p: LevelLike, *, lq_fn: Optional[QuantileFn] = None
 ) -> PropertyReport:
     """Run the one-sided quantile property battery (ids a-k) at one level."""
     p = as_level(p)
-    lq_fn = lq_fn or left_quantile
-    rq_fn = rq_fn or right_quantile
-    return PropertyReport(describe(d), p, tuple(_property_results(d, p, lq_fn, rq_fn)))
+    return PropertyReport(describe(d), p, tuple(_property_results(d, p, lq_fn or left_quantile)))
 
 
 def check_symmetry(d: MixtureDistribution, p: LevelLike) -> PropertyReport:
@@ -529,9 +519,7 @@ def check_symmetry(d: MixtureDistribution, p: LevelLike) -> PropertyReport:
     independent route on an independently constructed object.
     """
     p = as_level(p)
-    return PropertyReport(
-        describe(d), p, tuple(_symmetry_results(d, p, left_quantile, right_quantile))
-    )
+    return PropertyReport(describe(d), p, tuple(_symmetry_results(d, p, left_quantile)))
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +533,6 @@ def _jump_pieces(slope: float, gap: float):
     )
 
 
-@lru_cache(maxsize=1)
 def stock_maps() -> tuple[tuple[str, MonotoneMap], ...]:
     """Named maps covering every direction x one-sided-continuity cell,
     both curved smooth kinds, flat interior stretches, and negation.
@@ -719,20 +706,18 @@ def run_suite(
     *,
     maps: Optional[Sequence[tuple[str, MonotoneMap]]] = None,
     lq_fn: Optional[QuantileFn] = None,
-    rq_fn: Optional[QuantileFn] = None,
 ) -> list[PropertyReport]:
     """Check every identity on ``n_dists`` seeded mixtures at every level.
 
     Returns one report per (distribution, level) pair holding the full
     battery: properties a-k, symmetry S, variant/flavor agreement V,
-    and map equivariance E.  ``lq_fn``/``rq_fn`` let a caller swap in a
-    deliberately broken implementation (see `off_by_one_left_quantile`)
+    and map equivariance E.  ``lq_fn`` lets a caller swap in a
+    deliberately broken left quantile (see `off_by_one_left_quantile`)
     to confirm the harness actually bites.
     """
     if n_dists < 1:
         raise ValueError("n_dists must be >= 1")
     lq_fn = lq_fn or left_quantile
-    rq_fn = rq_fn or right_quantile
     map_list = tuple(stock_maps() if maps is None else maps)
     levels = [as_level(p) for p in levels]
     reports = []
@@ -741,9 +726,9 @@ def run_suite(
         label = describe(d)
         for p in levels:
             results = (
-                _property_results(d, p, lq_fn, rq_fn)
-                + _symmetry_results(d, p, lq_fn, rq_fn)
-                + _variant_results(d, p, lq_fn, rq_fn)
+                _property_results(d, p, lq_fn)
+                + _symmetry_results(d, p, lq_fn)
+                + _variant_results(d, p, lq_fn)
                 + _equivariance_results(d, p, map_list)
             )
             reports.append(PropertyReport(label, p, tuple(results)))
@@ -803,7 +788,6 @@ def off_by_one_left_quantile(d: MixtureDistribution, p: LevelLike) -> ExtendedRe
     x = left_quantile(d, p)
     if isinstance(x, float) and math.isinf(x):
         return x
-    for b in breakpoints(d):
-        if b > x:
-            return b
-    return x
+    bps = breakpoints(d)
+    i = bisect_right(bps, x)
+    return bps[i] if i < len(bps) else x

@@ -224,6 +224,33 @@ class TestExitCodes:
         assert res.exit_code == 5
         assert "float range" in res.stderr
 
+    @pytest.mark.parametrize(
+        "command, data, code, message",
+        [
+            # a cell past csv.field_size_limit(), in a column the command does not read
+            (["quantile"], b"v,w\n1.0,x\n2.0," + b"y" * 140_000 + b"\n", 3,
+             "line 3: field larger than field limit"),
+            (["quantile", "--delimiter", "ab"], b"v\n1.0\n", 2, "1-character string"),
+            (["quantile", "--delimiter", ""], b"v\n1.0\n", 2, "1-character string"),
+            (["quantile"], b"v\n1.0\n\xe92.0\n", 2, "cannot read"),
+            (["transform", "--map", "@{map}"], b"v\n1.0\n", 2, "cannot read map file"),
+        ],
+        ids=["over-long-field", "two-char-delimiter", "empty-delimiter", "data-not-utf8",
+             "map-not-utf8"],
+    )
+    def test_malformed_input_exits_without_a_traceback(
+        self, runner, tmp_path, command, data, code, message
+    ):
+        f = tmp_path / "data.csv"
+        f.write_bytes(data)
+        map_file = tmp_path / "map.json"
+        map_file.write_bytes(b'{"kind": "neg\xe9"}')
+        args = [a.format(map=map_file) for a in command]
+        res = runner.invoke(main, [*args, str(f), "--column", "v", "--levels", "0.5"])
+        assert res.exit_code == code
+        assert message in res.stderr
+        assert isinstance(res.exception, SystemExit)
+
 
 class TestSymmetryCommand:
     def test_columns_pass_and_narrative_shows_the_one_row_shift(self, runner, rain):
@@ -240,6 +267,12 @@ class TestSymmetryCommand:
         assert res.exit_code == 0
         assert "direct 4.8492; via reversed scale 4.8492 -> same answer (row 3)" in res.stdout
         assert "direct 5.2901; via reversed scale 5.2901 -> same answer (row 8)" in res.stdout
+
+    def test_infinite_quantiles_are_named_without_a_row(self, runner, rain):
+        res = runner.invoke(main, ["symmetry", rain, "--column", "pH", "--levels", "0,1"])
+        assert res.exit_code == 0
+        narrative = res.stdout.split("\n\n")[1].splitlines()
+        assert narrative[1:] == ["  level 0.0: -inf vs 4.7336", "  level 1.0: 5.6105 vs +inf"]
 
     def test_point_mass_is_fully_symmetric(self, runner, tmp_path):
         f = tmp_path / "point.csv"

@@ -374,6 +374,18 @@ class TestShapePredicates:
         )
         assert essential_bounds(d) == (-1.0, 5.0)
 
+    @pytest.mark.parametrize("zero", [-0.0, 0.0])
+    def test_essential_bounds_keep_the_atoms_signed_zero(self, zero):
+        # an atom and a segment end share the zero, each with its own sign
+        low = MixtureDistribution(
+            atoms=(Atom(zero, Fraction(1, 2)),), segments=(uniform(-zero, 1, Fraction(1, 2)),)
+        )
+        high = MixtureDistribution(
+            atoms=(Atom(zero, Fraction(1, 2)),), segments=(uniform(-1, -zero, Fraction(1, 2)),)
+        )
+        assert math.copysign(1.0, essential_bounds(low)[0]) == math.copysign(1.0, zero)
+        assert math.copysign(1.0, essential_bounds(high)[1]) == math.copysign(1.0, zero)
+
     def test_breakpoints_cover_all_component_edges(self, atom_in_segment):
         assert breakpoints(atom_in_segment) == (0.0, 0.5, 1.0)
 
