@@ -114,19 +114,25 @@ def _read_text(path: str, kind: str = "") -> str:
 
 
 def _nonblank_rows(reader, path: str):
-    # the non-blank rows with their line numbers, read one at a time
+    # the non-blank rows with their line numbers, read one at a time; a
+    # record ends on the line it starts on, so an unclosed quote fails
+    # there instead of joining the lines after it into one field
+    start = 1
     try:
         for row in reader:
+            if reader.line_num != start:
+                _fail(EXIT_PARSE, f"{path}: line {start}: quoted field is not closed on its line")
             if "".join(row).strip():
-                yield reader.line_num, row
+                yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
-        _fail(EXIT_PARSE, f"{path}: line {reader.line_num}: {exc}")
+        _fail(EXIT_PARSE, f"{path}: line {start}: {exc}")
 
 
 def _load_column(path: str, column: str, weights, delimiter: str, header):
     """Read one value column (and optional weight column) from a
     delimited text file.  Returns (values, weights-or-None, column label)."""
-    reader = csv.reader(_read_text(path).splitlines(), delimiter=delimiter)
+    reader = csv.reader(_read_text(path).splitlines(), delimiter=delimiter, strict=True)
     # the header row is stripped whole, a data row only in the cells read below
     rows = _nonblank_rows(reader, path)
     first = next(rows, None)

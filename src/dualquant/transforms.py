@@ -29,7 +29,6 @@ from .distributions import (
     as_extended,
     as_level,
     essential_bounds,
-    negate,
     stored,
 )
 from .errors import (
@@ -75,15 +74,6 @@ class Continuity(Enum):
     RIGHT = "right"
 
 
-def _affine(slope: float, intercept: float, x: ExtendedReal) -> ExtendedReal:
-    # exact rationals (segment-interior quantiles) stay exact; float
-    # inputs keep float arithmetic so atom images match pushforward
-    # locations bit for bit
-    if isinstance(x, Fraction):
-        return as_extended(Fraction(slope) * x + Fraction(intercept))
-    return slope * x + intercept
-
-
 @dataclass(frozen=True)
 class MapPiece:
     """One affine piece y = slope*x + intercept on [lo, hi].
@@ -109,7 +99,12 @@ class MapPiece:
         object.__setattr__(self, "intercept", intercept)
 
     def value(self, x) -> ExtendedReal:
-        return _affine(self.slope, self.intercept, x)
+        # exact rationals (segment-interior quantiles) stay exact; float
+        # inputs keep float arithmetic so atom images match pushforward
+        # locations bit for bit
+        if isinstance(x, Fraction):
+            return as_extended(Fraction(self.slope) * x + Fraction(self.intercept))
+        return self.slope * x + self.intercept
 
 
 @dataclass(frozen=True)
@@ -185,41 +180,20 @@ class PiecewiseMonotoneMap:
 
 
 class SmoothKind(Enum):
-    NEGATION = "negation"    # x -> -x
-    AFFINE = "affine"        # x -> scale*x + offset, scale != 0
     POW10_NEG = "pow10neg"   # x -> 10**(-x)
     NEGLOG10 = "neglog10"    # x -> -log10(x), domain (0, +inf)
 
 
 @dataclass(frozen=True)
 class SmoothMonotoneMap:
-    """A built-in everywhere-continuous strictly monotone map."""
+    """A built-in everywhere-continuous strictly decreasing curved map."""
 
     kind: SmoothKind
-    scale: float = 1.0
-    offset: float = 0.0
+    direction = Direction.NON_INCREASING
 
     def __post_init__(self):
         if not isinstance(self.kind, SmoothKind):
             raise MapSpecError(f"bad smooth map kind {self.kind!r}")
-        scale, offset = float(self.scale), float(self.offset)
-        if self.kind is SmoothKind.AFFINE:
-            if not (math.isfinite(scale) and math.isfinite(offset)):
-                raise MapSpecError("affine map needs finite scale and offset")
-            if scale == 0:
-                raise MapSpecError("affine map needs a nonzero scale to stay monotone")
-        else:
-            # parameters are meaningless for the fixed kinds; pin them so
-            # equal maps compare and hash equal
-            scale, offset = 1.0, 0.0
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "offset", offset)
-
-    @property
-    def direction(self) -> Direction:
-        if self.kind is SmoothKind.AFFINE and self.scale > 0:
-            return Direction.NON_DECREASING
-        return Direction.NON_INCREASING
 
     def is_left_continuous(self) -> bool:
         return True
@@ -231,12 +205,18 @@ class SmoothMonotoneMap:
 MonotoneMap = Union[PiecewiseMonotoneMap, SmoothMonotoneMap]
 
 
-def negation_map() -> SmoothMonotoneMap:
-    return SmoothMonotoneMap(SmoothKind.NEGATION)
+def affine_map(scale: float, offset: float = 0.0) -> PiecewiseMonotoneMap:
+    """x -> scale*x + offset, as a one-piece map."""
+    piece = MapPiece(NEG_INF, POS_INF, scale, offset)
+    if piece.slope == 0:
+        raise MapSpecError("affine map needs a nonzero scale to stay monotone")
+    direction = Direction.NON_DECREASING if piece.slope > 0 else Direction.NON_INCREASING
+    return PiecewiseMonotoneMap((piece,), direction)
 
 
-def affine_map(scale: float, offset: float = 0.0) -> SmoothMonotoneMap:
-    return SmoothMonotoneMap(SmoothKind.AFFINE, scale, offset)
+def negation_map() -> PiecewiseMonotoneMap:
+    """x -> -x; the intercept -0.0 sends 0.0 to -0.0 and -0.0 to 0.0."""
+    return affine_map(-1.0, -0.0)
 
 
 def pow10_neg_map() -> SmoothMonotoneMap:
@@ -248,22 +228,15 @@ def neglog10_map() -> SmoothMonotoneMap:
 
 
 def _apply_smooth(m: SmoothMonotoneMap, x: ExtendedReal) -> ExtendedReal:
-    kind = m.kind
-    if kind is SmoothKind.NEGATION:
-        return -x  # exact for floats, Fractions and infinities alike
     if isinstance(x, float) and math.isinf(x):
-        if kind is SmoothKind.AFFINE:
-            return x if m.scale > 0 else -x
-        if kind is SmoothKind.POW10_NEG:
+        if m.kind is SmoothKind.POW10_NEG:
             return 0.0 if x > 0 else POS_INF
         # NEGLOG10
         if x > 0:
             return NEG_INF
         raise MapDomainError("neglog10 is defined on (0, +inf) only")
-    if kind is SmoothKind.AFFINE:
-        return _affine(m.scale, m.offset, x)
     xf = float(x)
-    if kind is SmoothKind.POW10_NEG:
+    if m.kind is SmoothKind.POW10_NEG:
         try:
             return 10.0 ** (-xf)
         except OverflowError:  # past the float range, as a product would be
@@ -345,18 +318,13 @@ def _mixture_of_images(atoms: list, segments: list) -> MixtureDistribution:
 
 
 def _push_smooth(d: MixtureDistribution, m: SmoothMonotoneMap) -> MixtureDistribution:
-    if m.kind is SmoothKind.NEGATION:
-        return negate(d)
     # the curved kinds keep exactness only for purely atomic distributions
-    if d.segments and m.kind is not SmoothKind.AFFINE:
+    if d.segments:
         raise UnsupportedPushforwardError(
             f"{m.kind.value} pushforward needs an atom-only distribution; "
             "a uniform segment's image would not be uniform"
         )
-    return _mixture_of_images(
-        [(_apply_smooth(m, a.location), a.mass) for a in d.atoms],
-        [(_apply_smooth(m, s.lo), _apply_smooth(m, s.hi), s.mass) for s in d.segments],
-    )
+    return _mixture_of_images([(_apply_smooth(m, a.location), a.mass) for a in d.atoms], [])
 
 
 def _push_piecewise(d: MixtureDistribution, m: PiecewiseMonotoneMap) -> MixtureDistribution:
@@ -551,8 +519,9 @@ def _require(obj: dict, key: str, context: str):
 def map_from_spec(spec: dict) -> MonotoneMap:
     """Build a map from its JSON-able dict form (inverse of `map_to_spec`).
 
-    Smooth maps: ``{"kind": "negation" | "pow10neg" | "neglog10"}`` or
-    ``{"kind": "affine", "a": 2, "b": 1}``.
+    Named maps: the curved ``{"kind": "pow10neg" | "neglog10"}``, and
+    ``{"kind": "negation"}`` or ``{"kind": "affine", "a": 2, "b": 1}``,
+    which build one-piece piecewise maps.
 
     Piecewise maps::
 
@@ -626,10 +595,10 @@ def map_from_spec(spec: dict) -> MonotoneMap:
 def map_to_spec(m: MonotoneMap) -> dict:
     """Serialize a map to the dict form accepted by `map_from_spec`."""
     if isinstance(m, SmoothMonotoneMap):
-        if m.kind is SmoothKind.AFFINE:
-            return {"kind": "affine", "a": m.scale, "b": m.offset}
         return {"kind": m.kind.value}
     if isinstance(m, PiecewiseMonotoneMap):
+        if len(m.pieces) == 1 and m.pieces[0].slope != 0:
+            return {"kind": "affine", "a": m.pieces[0].slope, "b": m.pieces[0].intercept}
         return {
             "direction": m.direction.value,
             "breakpoints": [

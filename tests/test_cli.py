@@ -251,6 +251,33 @@ class TestExitCodes:
         assert message in res.stderr
         assert isinstance(res.exception, SystemExit)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            # in a column the command does not read, the quote never closes
+            ('v,note\n1.0,"x\n2.0,y\n3.0,z\n', "line 2: unexpected end of data"),
+            # the quote closes, but on a later line
+            ('v,note\n1.0,"x\n2.0,y"\n3.0,z\n', "line 2: quoted field is not closed on its line"),
+            ('v,note\n1.0,x\n2.0,y\n3.0,"z\n', "line 4: unexpected end of data"),
+            # text after a closing quote, in the column read
+            ('v\n1.0\n"1.0"5\n3.0\n', "line 3: ',' expected after '\"'"),
+        ],
+        ids=["open-mid-file", "closed-a-line-later", "open-on-last-line", "text-after-quote"],
+    )
+    def test_stray_quote_is_3_with_its_line(self, runner, tmp_path, data, message):
+        f = tmp_path / "quoted.csv"
+        f.write_text(data)
+        res = runner.invoke(main, ["quantile", str(f), "--column", "v", "--levels", "0.5"])
+        assert res.exit_code == 3
+        assert message in res.stderr
+
+    def test_quoted_fields_on_one_line_still_read(self, runner, tmp_path):
+        f = tmp_path / "quoted.csv"
+        f.write_text('v,note\n1.0,"a,b"\n2.0,"c ""q"" d"\n3.0,z\n')
+        res = runner.invoke(main, ["quantile", str(f), "--column", "v", "--levels", "0.5"])
+        assert res.exit_code == 0
+        assert rows_of(res.stdout)[1] == ["0.5", "2.0", "2.0", "2.0"]
+
 
 class TestSymmetryCommand:
     def test_columns_pass_and_narrative_shows_the_one_row_shift(self, runner, rain):

@@ -39,6 +39,17 @@ numbers = st.one_of(
 )
 json_junk = st.sampled_from([10**400, True, "2", None, 0, float("nan"), float("inf")])
 
+# cells for a column the command does not read, paired with whether they
+# are well formed: quoted and closed on their line, or unquoted (a quote
+# inside an unquoted field is a plain character); the others open a quote
+# or put text after a closing one
+notes = st.one_of(
+    st.text(alphabet='ab ,"', max_size=4).map(lambda t: ('"' + t.replace('"', '""') + '"', True)),
+    st.sampled_from(["", "a", "a b", 'a"b']).map(lambda t: (t, True)),
+    st.text(alphabet="ab ,", max_size=3).map(lambda t: ('"' + t, False)),
+    st.sampled_from(["b", " ", '"']).map(lambda t: ('"a"' + t, False)),
+)
+
 
 @st.composite
 def spoiled(draw, items):
@@ -118,6 +129,26 @@ def test_data_commands_end_in_a_documented_exit_code(data_path, command, data, a
     if command == "quantile" and as_json:
         args += ["--format", "json"]
     assert_documented_exit(CliRunner().invoke(main, args))
+
+
+@settings(FUZZ, max_examples=60)
+@given(cells=st.lists(values, min_size=1, max_size=6), data=st.data())
+def test_quotes_in_an_unread_column_read_or_exit_3_at_their_line(data_path, cells, data):
+    drawn = data.draw(st.lists(notes, min_size=len(cells), max_size=len(cells)))
+    data_path.write_text(
+        "v,note\n" + "".join(f"{v},{n}\n" for v, (n, _) in zip(cells, drawn)), encoding="utf-8"
+    )
+    plain = data_path.with_name("plain.csv")
+    plain.write_text("v\n" + "".join(f"{v}\n" for v in cells), encoding="utf-8")
+    args = ["--column", "v", "--levels", "0,0.5,1"]
+    res = CliRunner().invoke(main, ["quantile", str(data_path), *args])
+    bad = [i for i, (_, ok) in enumerate(drawn) if not ok]
+    if bad:
+        assert res.exit_code == 3
+        assert f"line {bad[0] + 2}:" in res.stderr
+    else:
+        ref = CliRunner().invoke(main, ["quantile", str(plain), *args])
+        assert (res.exit_code, res.stdout) == (ref.exit_code, ref.stdout)
 
 
 @settings(FUZZ, max_examples=120)

@@ -19,8 +19,6 @@ from dualquant import (
     MixtureDistribution,
     PiecewiseMonotoneMap,
     QuantileSide,
-    SmoothKind,
-    SmoothMonotoneMap,
     UniformSegment,
     UnsupportedPushforwardError,
     affine_map,
@@ -101,10 +99,6 @@ class TestApplySmooth:
         with pytest.raises(MapDomainError):
             apply_map(neglog10_map(), x)
 
-    def test_fixed_kinds_pin_their_parameters(self):
-        assert SmoothMonotoneMap(SmoothKind.POW10_NEG, scale=2.0, offset=3.0) == pow10_neg_map()
-        assert SmoothMonotoneMap(SmoothKind.NEGATION, scale=-1.0) == negation_map()
-
     def test_directions(self):
         assert affine_map(2.0).direction is ND
         assert affine_map(-2.0).direction is NI
@@ -182,6 +176,17 @@ class TestPushforward:
     def test_negation_matches_dedicated_negate(self):
         d = make_empirical([1.0, 2.0, 2.0, 3.5])
         assert pushforward(d, negation_map()) == negate(d)
+
+    def test_negation_flips_the_sign_of_zero(self):
+        m = negation_map()
+        assert math.copysign(1.0, apply_map(m, 0.0)) == -1.0
+        assert math.copysign(1.0, apply_map(m, -0.0)) == 1.0
+        d = make_empirical([0.0, 1.5])
+        hexes = [float.hex(a.location) for a in pushforward(d, m).atoms]
+        assert hexes == [float.hex(a.location) for a in negate(d).atoms]
+        assert hexes == ["-0x1.8000000000000p+0", "-0x0.0p+0"]
+        via_json = map_from_spec(json.loads(json.dumps(map_to_spec(m))))
+        assert math.copysign(1.0, apply_map(via_json, 0.0)) == -1.0
 
     def test_signed_zero_images_are_not_shared(self):
         # both the data sets and the maps compare equal across -0.0 and
