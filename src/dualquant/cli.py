@@ -132,7 +132,9 @@ def _nonblank_rows(reader, path: str):
 def _load_column(path: str, column: str, weights, delimiter: str, header):
     """Read one value column (and optional weight column) from a
     delimited text file.  Returns (values, weights-or-None, column label)."""
-    reader = csv.reader(_read_text(path).splitlines(), delimiter=delimiter, strict=True)
+    # read_text has turned \r\n and \r into \n, the one line break left;
+    # splitlines would also break at \f, \x1c, U+2028 and the like inside a cell
+    reader = csv.reader(_read_text(path).split("\n"), delimiter=delimiter, strict=True)
     # the header row is stripped whole, a data row only in the cells read below
     rows = _nonblank_rows(reader, path)
     first = next(rows, None)

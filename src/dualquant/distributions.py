@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import wraps
-from typing import Iterable, Optional, Sequence, Union
+from itertools import accumulate
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import BadValueError, BadWeightError, EmptyDataError
 
@@ -95,6 +96,8 @@ def as_exact(value: Union[int, float, str, Fraction]) -> Fraction:
 
 def as_level(p: Union[int, float, str, Fraction]) -> Probability:
     """Coerce ``p`` to an exact probability level in [0, 1] via `as_exact`."""
+    if isinstance(p, Fraction) and 0 <= p.numerator <= p.denominator:
+        return p  # already a level (a Fraction's denominator is positive)
     try:
         q = as_exact(p)
     except ValueError:
@@ -107,6 +110,9 @@ def as_level(p: Union[int, float, str, Fraction]) -> Probability:
 def as_extended(x: Union[float, Fraction]) -> ExtendedReal:
     """Collapse an exact rational to a float when that loses nothing."""
     if isinstance(x, Fraction):
+        den = x.denominator
+        if den & (den - 1):
+            return x  # only a dyadic rational can be a float
         try:
             f = float(x)
         except OverflowError:
@@ -300,62 +306,92 @@ def make_empirical(
     )
 
 
+def _sums(masses: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    # exact cumulative masses from the low end and, summed on their own
+    # rather than derived from those, from the high end
+    below = list(accumulate(masses, initial=Fraction(0)))
+    above = list(accumulate(reversed(masses), initial=Fraction(0)))
+    above.reverse()
+    return below, above
+
+
+class _Tables(NamedTuple):
+    """What `dist_fn` reads of one distribution, built once.
+
+    ``floats`` and ``exact`` both hold the sorted atom locations and
+    segment ends ``(locs, los, his)``, the latter as Fractions, so that a
+    Fraction argument bisects without converting a float at each
+    comparison.  Segment interiors are disjoint, so segments sorted by
+    ``lo`` have sorted ``his`` too.  Entry k of a ``*_below`` table is the
+    mass of the first k parts, entry k of an ``*_above`` table that of
+    the parts from k on; left and right flavors read separate tables.
+    """
+
+    floats: tuple[tuple[float, ...], ...]
+    exact: tuple[tuple[Fraction, ...], ...]
+    density: tuple[Fraction, ...]  # mass per unit length of each segment
+    atoms_below: list[Fraction]
+    atoms_above: list[Fraction]
+    segments_below: list[Fraction]
+    segments_above: list[Fraction]
+
+
 @stored
-def _atom_tables(d: MixtureDistribution):
-    # sorted locations plus exact cumulative masses from each end; the
-    # suffix table is summed independently rather than derived from the
-    # prefix, so left and right flavors follow genuinely separate routes
-    locs = [a.location for a in d.atoms]
-    prefix = [Fraction(0)]
-    for a in d.atoms:
-        prefix.append(prefix[-1] + a.mass)
-    suffix = [Fraction(0)]
-    for a in reversed(d.atoms):
-        suffix.append(suffix[-1] + a.mass)
-    suffix.reverse()
-    return locs, tuple(prefix), tuple(suffix)
-
-
-def _segment_mass_below(s: UniformSegment, x) -> Fraction:
-    # P(S <= x) = P(S < x) for the atomless segment part
-    if x <= s.lo:
-        return Fraction(0)
-    if x >= s.hi:
-        return s.mass
-    return s.mass * (Fraction(x) - Fraction(s.lo)) / s.width
-
-
-def _segment_mass_above(s: UniformSegment, x) -> Fraction:
-    if x >= s.hi:
-        return Fraction(0)
-    if x <= s.lo:
-        return s.mass
-    return s.mass * (Fraction(s.hi) - Fraction(x)) / s.width
+def _tables(d: MixtureDistribution) -> _Tables:
+    floats = (
+        tuple(a.location for a in d.atoms),
+        tuple(s.lo for s in d.segments),
+        tuple(s.hi for s in d.segments),
+    )
+    exact = tuple(tuple(map(Fraction, xs)) for xs in floats)
+    _, los, his = exact
+    density = tuple(s.mass / (hi - lo) for s, lo, hi in zip(d.segments, los, his))
+    return _Tables(
+        floats,
+        exact,
+        density,
+        *_sums([a.mass for a in d.atoms]),
+        *_sums([s.mass for s in d.segments]),
+    )
 
 
 def dist_fn(d: MixtureDistribution, flavor: DistFnFlavor, x: ExtendedReal) -> Probability:
     """Evaluate one of the four distribution functions at ``x``, exactly.
 
     ``x`` may be an int, float, Fraction, or +/-infinity; infinite
-    arguments return the monotone limit (0 or 1 depending on flavor).
+    arguments return the monotone limit (0 or 1 depending on flavor),
+    and NaN raises BadValueError.  Each call is two bisections plus at
+    most one partial segment.
     """
     if not isinstance(flavor, DistFnFlavor):
         raise TypeError(f"flavor must be a DistFnFlavor, got {flavor!r}")
     left = flavor in _LEFT_FLAVORS
-    if isinstance(x, float) and math.isinf(x):
+    if isinstance(x, float) and not math.isfinite(x):
+        if math.isnan(x):  # every comparison with it is false: bisection would misread it
+            raise BadValueError("a distribution function has no value at nan")
         high = x > 0
         return Fraction(1) if high == left else Fraction(0)
-    locs, prefix, suffix = _atom_tables(d)
+    t = _tables(d)
+    locs, los, his = t.exact if isinstance(x, Fraction) else t.floats
     if flavor is DistFnFlavor.LEFT_CLOSED:
-        acc = prefix[bisect_right(locs, x)]
+        acc = t.atoms_below[bisect_right(locs, x)]
     elif flavor is DistFnFlavor.LEFT_OPEN:
-        acc = prefix[bisect_left(locs, x)]
+        acc = t.atoms_below[bisect_left(locs, x)]
     elif flavor is DistFnFlavor.RIGHT_CLOSED:
-        acc = suffix[bisect_left(locs, x)]
+        acc = t.atoms_above[bisect_left(locs, x)]
     else:
-        acc = suffix[bisect_right(locs, x)]
-    for s in d.segments:
-        acc += _segment_mass_below(s, x) if left else _segment_mass_above(s, x)
+        acc = t.atoms_above[bisect_right(locs, x)]
+    _, lo, hi = t.exact
+    if left:
+        i = bisect_right(his, x)  # the segments before i end at or below x
+        acc += t.segments_below[i]
+        if i < len(los) and los[i] < x:  # segment i straddles x
+            acc += t.density[i] * (Fraction(x) - lo[i])
+    else:
+        i = bisect_left(los, x)  # the segments from i on start at or above x
+        acc += t.segments_above[i]
+        if i and x < his[i - 1]:  # segment i - 1 straddles x
+            acc += t.density[i - 1] * (hi[i - 1] - Fraction(x))
     return acc
 
 

@@ -13,12 +13,13 @@ monotone-map equivariance across a stock library (E).
 from __future__ import annotations
 
 import math
+import operator
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .distributions import (
     NEG_INF,
@@ -179,13 +180,14 @@ def _candidates(d: MixtureDistribution, p: Probability):
     return found
 
 
+# (mode, which F value of a candidate: 0 for P(X<=x), 1 for P(X<x), test against p)
 _VARIANT_RULES = {
-    QuantileVariant.LQ_CLOSED_INF: ("inf", "closed", "ge"),
-    QuantileVariant.LQ_OPEN_INF: ("inf", "open", "ge"),
-    QuantileVariant.LQ_CLOSED_SUP: ("sup", "closed", "lt"),
-    QuantileVariant.RQ_CLOSED_INF: ("inf", "closed", "gt"),
-    QuantileVariant.RQ_OPEN_INF: ("inf", "open", "gt"),
-    QuantileVariant.RQ_CLOSED_SUP: ("sup", "closed", "le"),
+    QuantileVariant.LQ_CLOSED_INF: ("inf", 0, operator.ge),
+    QuantileVariant.LQ_OPEN_INF: ("inf", 1, operator.ge),
+    QuantileVariant.LQ_CLOSED_SUP: ("sup", 0, operator.lt),
+    QuantileVariant.RQ_CLOSED_INF: ("inf", 0, operator.gt),
+    QuantileVariant.RQ_OPEN_INF: ("inf", 1, operator.gt),
+    QuantileVariant.RQ_CLOSED_SUP: ("sup", 0, operator.le),
 }
 
 
@@ -205,21 +207,10 @@ def quantile_by_definition(
     p = as_level(p)
     if not isinstance(variant, QuantileVariant):
         raise TypeError(f"variant must be a QuantileVariant, got {variant!r}")
-    mode, flavor, cmp_name = _VARIANT_RULES[variant]
+    mode, col, test = _VARIANT_RULES[variant]
     cands = _candidates(d, p)
-
-    def pred(fc: Fraction, fo: Fraction) -> bool:
-        v = fc if flavor == "closed" else fo
-        if cmp_name == "ge":
-            return v >= p
-        if cmp_name == "gt":
-            return v > p
-        if cmp_name == "lt":
-            return v < p
-        return v <= p
-
-    strict = cmp_name in ("gt", "lt")
-    flags = [pred(fc, fo) for _, (fc, fo) in cands]
+    strict = test is operator.gt or test is operator.lt
+    flags = [test(fs[col], p) for _, fs in cands]
     if mode == "inf":
         if flags[0]:
             # true below the entire support, hence on every lower real
@@ -272,8 +263,53 @@ def _interval_mass(d, lo, hi) -> Fraction:
     return dist_fn(d, DistFnFlavor.LEFT_OPEN, hi) - dist_fn(d, DistFnFlavor.LEFT_CLOSED, lo)
 
 
+class _LevelFree(NamedTuple):
+    """The parts of checks a-k that no level changes, for one mixture
+    and one left quantile function: checks h and j whole, and the left
+    and right quantiles at the levels k/10 that check i adds to p."""
+
+    h: CheckResult
+    j: CheckResult
+    grid: dict[Probability, tuple[ExtendedReal, ExtendedReal]]
+
+
+def _level_free_checks(d: MixtureDistribution, lq_fn: QuantileFn) -> _LevelFree:
+    lq1 = lq_fn(d, Fraction(1))
+    rq0 = right_quantile(d, Fraction(0))
+    finite = not (isinstance(lq1, float) and math.isinf(lq1)) and not (
+        isinstance(rq0, float) and math.isinf(rq0)
+    )
+    closed_mass = (
+        dist_fn(d, DistFnFlavor.LEFT_CLOSED, lq1) - dist_fn(d, DistFnFlavor.LEFT_OPEN, rq0)
+        if finite
+        else None
+    )
+    h = CheckResult(
+        "h",
+        finite and closed_mass == 1,
+        f"lq(1)={format_extended(lq1)}, rq(0)={format_extended(rq0)} finite and carry mass "
+        f"{format_extended(closed_mass) if closed_mass is not None else '?'}",
+    )
+
+    tenths = [Fraction(k, 10) for k in range(11)]
+    grid = {q: (lq_fn(d, q), right_quantile(d, q)) for q in tenths}
+
+    bad_atoms = [
+        a.location
+        for a in d.atoms
+        if lq_fn(d, dist_fn(d, DistFnFlavor.LEFT_CLOSED, a.location)) != a.location
+    ]
+    j = CheckResult(
+        "j",
+        not bad_atoms,
+        f"lq(F(x0)) == x0 at {len(d.atoms)} atoms"
+        + (f"; FAILED at {bad_atoms[0]!r}" if bad_atoms else ""),
+    )
+    return _LevelFree(h, j, grid)
+
+
 def _property_results(
-    d: MixtureDistribution, p: Probability, lq_fn: QuantileFn
+    d: MixtureDistribution, p: Probability, lq_fn: QuantileFn, fixed: _LevelFree
 ) -> list[CheckResult]:
     out = []
     lq = lq_fn(d, p)
@@ -331,46 +367,16 @@ def _property_results(
     else:
         out.append(CheckResult("g", True, f"vacuous: lq == rq == {format_extended(lq)}"))
 
-    lq1 = lq_fn(d, Fraction(1))
-    rq0 = right_quantile(d, Fraction(0))
-    finite = not (isinstance(lq1, float) and math.isinf(lq1)) and not (
-        isinstance(rq0, float) and math.isinf(rq0)
-    )
-    closed_mass = (
-        dist_fn(d, DistFnFlavor.LEFT_CLOSED, lq1) - dist_fn(d, DistFnFlavor.LEFT_OPEN, rq0)
-        if finite
-        else None
-    )
-    out.append(
-        CheckResult(
-            "h",
-            finite and closed_mass == 1,
-            f"lq(1)={format_extended(lq1)}, rq(0)={format_extended(rq0)} finite and carry mass "
-            f"{format_extended(closed_mass) if closed_mass is not None else '?'}",
-        )
-    )
+    out.append(fixed.h)
 
-    grid = sorted({Fraction(k, 10) for k in range(11)} | {p})
-    lqs = [lq_fn(d, q) for q in grid]
-    rqs = [right_quantile(d, q) for q in grid]
+    rows = {**fixed.grid, p: (lq, rq)}
+    lqs, rqs = zip(*(rows[q] for q in sorted(rows)))
     mono = all(a <= b for a, b in zip(lqs, lqs[1:])) and all(
         a <= b for a, b in zip(rqs, rqs[1:])
     )
-    out.append(CheckResult("i", mono, f"both quantile functions non-decreasing over {len(grid)} levels"))
+    out.append(CheckResult("i", mono, f"both quantile functions non-decreasing over {len(rows)} levels"))
 
-    bad_atoms = [
-        a.location
-        for a in d.atoms
-        if lq_fn(d, dist_fn(d, DistFnFlavor.LEFT_CLOSED, a.location)) != a.location
-    ]
-    out.append(
-        CheckResult(
-            "j",
-            not bad_atoms,
-            f"lq(F(x0)) == x0 at {len(d.atoms)} atoms"
-            + (f"; FAILED at {bad_atoms[0]!r}" if bad_atoms else ""),
-        )
-    )
+    out.append(fixed.j)
 
     lo_b, hi_b = essential_bounds(d)
     span = Fraction(hi_b) - Fraction(lo_b) + 1
@@ -411,8 +417,25 @@ def _symmetry_results(
     ]
 
 
+def _shape_witnesses(d: MixtureDistribution) -> tuple[bool, bool]:
+    # flavor independence of the shape predicates, against structure-free
+    # oracles: a jump is a gap between P(X<=b) and P(X<b) at a breakpoint,
+    # a monotonicity flat is a massless open interval between breakpoints
+    bps = breakpoints(d)
+    has_jump = any(
+        dist_fn(d, DistFnFlavor.LEFT_CLOSED, b) != dist_fn(d, DistFnFlavor.LEFT_OPEN, b)
+        for b in bps
+    )
+    cont_answers = {is_continuous(d, fl) for fl in DistFnFlavor}
+    ok_cont = cont_answers == {not has_jump}
+    has_gap = any(_interval_mass(d, a, b) == 0 for a, b in zip(bps, bps[1:]))
+    mono_answers = {is_strictly_monotone_on_hull(d, fl) for fl in DistFnFlavor}
+    ok_mono = mono_answers == {not has_gap}
+    return ok_cont, ok_mono
+
+
 def _variant_results(
-    d: MixtureDistribution, p: Probability, lq_fn: QuantileFn
+    d: MixtureDistribution, p: Probability, lq_fn: QuantileFn, shapes_ok: tuple[bool, bool]
 ) -> list[CheckResult]:
     lq = lq_fn(d, p)
     rq = right_quantile(d, p)
@@ -435,22 +458,7 @@ def _variant_results(
     ok_lq = all(v == lq for v in lq_defs.values())
     ok_rq = all(v == rq for v in rq_defs.values())
 
-    # flavor independence of the shape predicates, against structure-free
-    # oracles: a jump is a gap between P(X<=b) and P(X<b) at a breakpoint,
-    # a monotonicity flat is a massless open interval between breakpoints
-    bps = breakpoints(d)
-    has_jump = any(
-        dist_fn(d, DistFnFlavor.LEFT_CLOSED, b) != dist_fn(d, DistFnFlavor.LEFT_OPEN, b)
-        for b in bps
-    )
-    cont_answers = {is_continuous(d, fl) for fl in DistFnFlavor}
-    ok_cont = cont_answers == {not has_jump}
-    has_gap = any(
-        _interval_mass(d, a, b) == 0 for a, b in zip(bps, bps[1:])
-    )
-    mono_answers = {is_strictly_monotone_on_hull(d, fl) for fl in DistFnFlavor}
-    ok_mono = mono_answers == {not has_gap}
-
+    ok_cont, ok_mono = shapes_ok
     ok = ok_lq and ok_rq and ok_cont and ok_mono
     return [
         CheckResult(
@@ -508,7 +516,9 @@ def check_quantile_properties(
 ) -> PropertyReport:
     """Run the one-sided quantile property battery (ids a-k) at one level."""
     p = as_level(p)
-    return PropertyReport(describe(d), p, tuple(_property_results(d, p, lq_fn or left_quantile)))
+    lq_fn = lq_fn or left_quantile
+    results = _property_results(d, p, lq_fn, _level_free_checks(d, lq_fn))
+    return PropertyReport(describe(d), p, tuple(results))
 
 
 def check_symmetry(d: MixtureDistribution, p: LevelLike) -> PropertyReport:
@@ -724,11 +734,13 @@ def run_suite(
     for i in range(n_dists):
         d = random_mixture(replace(cfg, seed=cfg.seed + i))
         label = describe(d)
+        fixed = _level_free_checks(d, lq_fn)
+        shapes_ok = _shape_witnesses(d)
         for p in levels:
             results = (
-                _property_results(d, p, lq_fn)
+                _property_results(d, p, lq_fn, fixed)
                 + _symmetry_results(d, p, lq_fn)
-                + _variant_results(d, p, lq_fn)
+                + _variant_results(d, p, lq_fn, shapes_ok)
                 + _equivariance_results(d, p, map_list)
             )
             reports.append(PropertyReport(label, p, tuple(results)))

@@ -278,6 +278,22 @@ class TestExitCodes:
         assert res.exit_code == 0
         assert rows_of(res.stdout)[1] == ["0.5", "2.0", "2.0", "2.0"]
 
+    @pytest.mark.parametrize(
+        "char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_newlines_end_a_row(self, runner, tmp_path, char):
+        # str.splitlines breaks at these too; inside an unread cell they
+        # must not turn the rest of the row into a row of its own
+        with_note = tmp_path / "note.csv"
+        with_note.write_text(f"v,note\n1.0,x{char}5.0\n2.0,y\n", encoding="utf-8")
+        plain = tmp_path / "plain.csv"
+        plain.write_text("v\n1.0\n2.0\n", encoding="utf-8")
+        args = ["--column", "v", "--levels", "0.5,1"]
+        res = runner.invoke(main, ["quantile", str(with_note), *args])
+        want = runner.invoke(main, ["quantile", str(plain), *args])
+        assert res.exit_code == want.exit_code == 0
+        assert res.stdout == want.stdout
+
 
 class TestSymmetryCommand:
     def test_columns_pass_and_narrative_shows_the_one_row_shift(self, runner, rain):

@@ -16,6 +16,7 @@ from dualquant import (
     BadWeightError,
     DistFnFlavor,
     EmptyDataError,
+    GeneratorConfig,
     MixtureDistribution,
     UniformSegment,
     as_extended,
@@ -28,6 +29,7 @@ from dualquant import (
     is_strictly_monotone_on_hull,
     make_empirical,
     negate,
+    random_mixture,
 )
 from dualquant.distributions import MAX_EXPONENT, as_exact
 
@@ -113,6 +115,15 @@ class TestLevelCoercion:
         with pytest.raises(TypeError):
             as_level(flag)
 
+    @pytest.mark.parametrize("bad", [Fraction(3, 2), Fraction(-1, 2)])
+    def test_fractions_outside_the_unit_interval_are_refused(self, bad):
+        with pytest.raises(BadValueError):
+            as_level(bad)
+
+    def test_a_fraction_level_comes_back_as_it_is(self):
+        p = Fraction(2, 7)
+        assert as_level(p) is p
+
 
 class TestExtendedCoercion:
     def test_collapses_lossless_rationals_to_floats(self):
@@ -126,6 +137,21 @@ class TestExtendedCoercion:
     def test_keeps_overflowing_rationals_exact(self):
         big = Fraction(10) ** 400
         assert as_extended(big) == big and isinstance(as_extended(big), Fraction)
+
+    @pytest.mark.parametrize(
+        "x, want",
+        [
+            (Fraction(1, 4), 0.25),
+            (Fraction(1, 3), Fraction(1, 3)),
+            # dyadic, yet no float: too many bits, too large, too small
+            (1 + Fraction(1, 2**60), 1 + Fraction(1, 2**60)),
+            (Fraction(2**1100), Fraction(2**1100)),
+            (Fraction(1, 2**1080), Fraction(1, 2**1080)),
+        ],
+    )
+    def test_only_rationals_a_float_holds_collapse(self, x, want):
+        out = as_extended(x)
+        assert out == want and type(out) is type(want)
 
 
 def atoms_of(d):
@@ -322,6 +348,12 @@ class TestDistFn:
         assert dist_fn(ph_dist, G_CLOSED, POS_INF) == 0
         assert dist_fn(ph_dist, G_OPEN, POS_INF) == 0
 
+    @pytest.mark.parametrize("flavor", ALL_FLAVORS)
+    def test_nan_has_no_value(self, ph_dist, atom_in_segment, flavor):
+        for d in (ph_dist, atom_in_segment):
+            with pytest.raises(BadValueError):
+                dist_fn(d, flavor, float("nan"))
+
     def test_segment_mass_is_exactly_linear(self):
         u = MixtureDistribution(atoms=(), segments=(uniform(0, 1),))
         assert dist_fn(u, F_CLOSED, 0.25) == Fraction(1, 4)
@@ -335,6 +367,79 @@ class TestDistFn:
         assert dist_fn(d, F_OPEN, 0.5) == Fraction(1, 4)
         assert dist_fn(d, G_CLOSED, 0.5) == Fraction(3, 4)
         assert dist_fn(d, G_OPEN, 0.5) == Fraction(1, 4)
+
+
+def dist_fn_by_parts(d, flavor, x):
+    # the definition, one part at a time in Fractions
+    below = flavor in (F_CLOSED, F_OPEN)
+    if isinstance(x, float) and math.isinf(x):
+        return Fraction(int((x > 0) == below))
+    x = Fraction(x)
+    total = Fraction(0)
+    for a in d.atoms:
+        loc = Fraction(a.location)
+        hit = {F_CLOSED: loc <= x, F_OPEN: loc < x, G_CLOSED: loc >= x, G_OPEN: loc > x}
+        if hit[flavor]:
+            total += a.mass
+    for s in d.segments:
+        lo, hi = Fraction(s.lo), Fraction(s.hi)
+        inside = min(max(x, lo), hi)
+        total += s.mass * ((inside - lo) if below else (hi - inside)) / (hi - lo)
+    return total
+
+
+def probes(d):
+    # every breakpoint and midpoint, as floats and as Fractions, points
+    # just off each breakpoint, both zeros, and both infinities
+    bps = breakpoints(d)
+    xs = [NEG_INF, POS_INF, 0.0, -0.0, 0, bps[0] - 1.0, bps[-1] + 1.0]
+    for b in bps:
+        xs += [b, Fraction(b), Fraction(b) - Fraction(1, 3), Fraction(b) + Fraction(1, 7)]
+    for a, b in zip(bps, bps[1:]):
+        xs += [(a + b) / 2, (Fraction(a) + Fraction(b)) / 2]
+    return xs
+
+
+POINTS = (-3.0, -1.5, 0.0, 0.25, 1.0, 2.0, 4.5, 7.0)
+
+
+@st.composite
+def mixtures(draw):
+    # parts on a few points, so atoms sit on segment ends and segments
+    # touch; each zero is drawn as 0.0 or -0.0 on its own
+    def at(i):
+        return draw(st.sampled_from([0.0, -0.0])) if POINTS[i] == 0 else POINTS[i]
+
+    mass = st.integers(1, 9).map(Fraction)
+    ends = sorted(draw(st.sets(st.integers(0, len(POINTS) - 1), max_size=6)))
+    keep = draw(st.lists(st.booleans(), min_size=len(ends), max_size=len(ends)))
+    segments = [
+        UniformSegment(at(a), at(b), draw(mass)) for a, b, k in zip(ends, ends[1:], keep) if k
+    ]
+    spots = draw(st.sets(st.integers(0, len(POINTS) - 1), min_size=0 if segments else 1, max_size=4))
+    atoms = [Atom(at(i), draw(mass)) for i in spots]
+    return MixtureDistribution(atoms=tuple(atoms), segments=tuple(segments))
+
+
+class TestDistFnAgainstParts:
+    """`dist_fn` bisects stored tables; the loop above sums every part."""
+
+    @staticmethod
+    def check(d):
+        for x in probes(d):
+            for flavor in ALL_FLAVORS:
+                got = dist_fn(d, flavor, x)
+                assert got == dist_fn_by_parts(d, flavor, x), (describe(d), flavor, x)
+                assert isinstance(got, Fraction)
+
+    def test_seeded_corpus(self):
+        for seed in range(150):
+            self.check(random_mixture(GeneratorConfig(seed=seed)))
+
+    @settings(deadline=None, database=None, derandomize=True, max_examples=300)
+    @given(mixtures())
+    def test_mixtures_with_touching_parts_and_signed_zeros(self, d):
+        self.check(d)
 
 
 class TestNegate:

@@ -270,3 +270,32 @@ class TestStockMaps:
     def test_names_are_unique(self):
         names = [n for n, _ in stock_maps()]
         assert len(names) == len(set(names))
+
+
+
+class TestLevelFreeChecksOncePerMixture:
+    """`run_suite` computes the checks no level changes (h, j, the fixed
+    levels of i) once per mixture; each report must still read exactly
+    as `check_quantile_properties` computes it for that one level."""
+
+    @pytest.mark.parametrize("lq_fn", [left_quantile, off_by_one_left_quantile])
+    def test_suite_reports_match_single_level_batteries(self, lq_fn):
+        failing = set()
+        for seed in (0, 11, 42):
+            levels = standard_levels(seed)
+            reports = run_suite(GeneratorConfig(seed=seed), 4, levels, lq_fn=lq_fn)
+            for i in range(4):
+                d = random_mixture(GeneratorConfig(seed=seed + i))
+                for report in reports[i * len(levels) : (i + 1) * len(levels)]:
+                    alone = check_quantile_properties(d, report.level, lq_fn=lq_fn)
+                    assert report.results[:11] == alone.results, (seed + i, report.level)
+                    failing |= {r.check_id for r in alone.failures()}
+        if lq_fn is off_by_one_left_quantile:
+            assert failing & {"h", "i", "j"}
+        else:
+            assert not failing
+
+    @pytest.mark.parametrize("p, size", [(Fraction(3, 10), 11), (Fraction(1, 3), 12)])
+    def test_monotonicity_grid_holds_the_level_itself(self, ph_dist, p, size):
+        (i_check,) = [r for r in check_quantile_properties(ph_dist, p).results if r.check_id == "i"]
+        assert i_check.details == f"both quantile functions non-decreasing over {size} levels"
