@@ -79,6 +79,8 @@ class MapPiece:
     """One affine piece y = slope*x + intercept on [lo, hi].
 
     ``lo`` may be -inf and ``hi`` +inf; slope and intercept are finite.
+    The exact rationals of slope and intercept are kept beside the
+    fields, for `value` at a Fraction.
     """
 
     lo: float
@@ -97,13 +99,15 @@ class MapPiece:
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "slope", slope)
         object.__setattr__(self, "intercept", intercept)
+        object.__setattr__(self, "_exact", (Fraction(slope), Fraction(intercept)))
 
     def value(self, x) -> ExtendedReal:
         # exact rationals (segment-interior quantiles) stay exact; float
         # inputs keep float arithmetic so atom images match pushforward
         # locations bit for bit
         if isinstance(x, Fraction):
-            return as_extended(Fraction(self.slope) * x + Fraction(self.intercept))
+            slope, intercept = self._exact
+            return as_extended(slope * x + intercept)
         return self.slope * x + self.intercept
 
 
@@ -114,7 +118,8 @@ class PiecewiseMonotoneMap:
     Pieces must tile (-inf, +inf) contiguously; each interior
     breakpoint carries a Continuity flag naming the piece whose formula
     holds AT the breakpoint.  The flags decide one-sided continuity,
-    which in turn decides which equivariance identities are available.
+    which in turn decides which equivariance identities are available;
+    both answers are worked out once, at construction.
     """
 
     pieces: tuple[MapPiece, ...]
@@ -147,36 +152,30 @@ class PiecewiseMonotoneMap:
                 raise MapSpecError(
                     f"piece slope {p.slope} contradicts direction {self.direction.value}"
                 )
-        for i, (a, b) in enumerate(zip(pieces, pieces[1:])):
+        owners = set()  # the continuity flags of the breakpoints where the map jumps
+        for a, b, f in zip(pieces, pieces[1:], cont):
             left_val, right_val = a.value(a.hi), b.value(b.lo)
             if (left_val > right_val) if rising else (left_val < right_val):
                 raise MapSpecError(
                     f"values jump the wrong way at breakpoint {a.hi}: "
                     f"{left_val} then {right_val}"
                 )
+            if left_val != right_val:
+                owners.add(f)
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "continuity", cont)
+        object.__setattr__(self, "_left_continuous", owners <= {Continuity.LEFT})
+        object.__setattr__(self, "_right_continuous", owners <= {Continuity.RIGHT})
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(p.hi for p in self.pieces[:-1])
 
-    def _jump_free(self, i: int) -> bool:
-        return self.pieces[i].value(self.pieces[i].hi) == self.pieces[i + 1].value(
-            self.pieces[i + 1].lo
-        )
-
     def is_left_continuous(self) -> bool:
-        return all(
-            self._jump_free(i) or f is Continuity.LEFT
-            for i, f in enumerate(self.continuity)
-        )
+        return self._left_continuous
 
     def is_right_continuous(self) -> bool:
-        return all(
-            self._jump_free(i) or f is Continuity.RIGHT
-            for i, f in enumerate(self.continuity)
-        )
+        return self._right_continuous
 
 
 class SmoothKind(Enum):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -400,6 +401,15 @@ class TestMapSpecs:
         assert map_from_spec(spec) == m
         assert json.loads(json.dumps(spec)) == spec  # JSON-safe, infinities as strings
 
+    @pytest.mark.parametrize("name", sorted(STOCK))
+    def test_round_trip_keeps_the_continuity_answers(self, name):
+        m = STOCK[name]
+        again = map_from_spec(map_to_spec(m))
+        assert (again.is_left_continuous(), again.is_right_continuous()) == (
+            m.is_left_continuous(),
+            m.is_right_continuous(),
+        )
+
     def test_piecewise_spec_uses_inf_strings(self):
         spec = map_to_spec(STOCK["nd_jump_left"])
         assert spec["pieces"][0]["lo"] == "-inf"
@@ -426,3 +436,22 @@ class TestMapSpecs:
     def test_bad_specs_are_rejected(self, spec):
         with pytest.raises(MapSpecError):
             map_from_spec(spec)
+
+
+class TestMapPieceCoefficients:
+    """A piece keeps its exact slope and intercept beside its fields;
+    they must not show in its equality, hash, repr or field list."""
+
+    def test_fields_repr_equality_and_hash(self):
+        piece = MapPiece(0, 1, 2, -0.5)
+        assert [f.name for f in fields(MapPiece)] == ["lo", "hi", "slope", "intercept"]
+        assert repr(piece) == "MapPiece(lo=0.0, hi=1.0, slope=2.0, intercept=-0.5)"
+        twin = MapPiece(0.0, 1.0, 2.0, -0.5)
+        assert piece == twin and hash(piece) == hash(twin)
+        assert piece != MapPiece(0.0, 1.0, 2.0, 0.5)
+
+    @pytest.mark.parametrize("slope, intercept", [(0.1, 0.2), (-3.0, -0.0), (1e300, 5e-324)])
+    def test_value_at_a_fraction_is_the_exact_image(self, slope, intercept):
+        piece = MapPiece(NEG_INF, POS_INF, slope, intercept)
+        x = Fraction(1, 3)
+        assert piece.value(x) == Fraction(slope) * x + Fraction(intercept)

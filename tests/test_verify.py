@@ -1,5 +1,7 @@
 """The self-checking battery: scan oracle, property checks, generator, suite driver."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from dualquant import (
     Atom,
     CheckResult,
     Direction,
+    DistFnFlavor,
     GeneratorConfig,
     MixtureDistribution,
     PiecewiseMonotoneMap,
@@ -16,10 +19,13 @@ from dualquant import (
     SmoothKind,
     SmoothMonotoneMap,
     UniformSegment,
+    breakpoints,
     check_quantile_properties,
     check_symmetry,
+    dist_fn,
     left_quantile,
     make_empirical,
+    negate,
     neglog10_map,
     negation_map,
     off_by_one_left_quantile,
@@ -31,6 +37,7 @@ from dualquant import (
     stock_maps,
 )
 from dualquant.verify import (
+    _candidates,
     _equivariance_results,
     first_failure,
     report_to_dict,
@@ -85,6 +92,117 @@ class TestScanOracle:
 
     def test_there_are_three_variants_per_side(self):
         assert len(LQ_VARIANTS) == 3 and len(RQ_VARIANTS) == 3
+
+
+def reference_fixed_cells(d):
+    # hull probes, breakpoints and midpoints, each with P(X<=x) and P(X<x)
+    bps = breakpoints(d)
+    xs = [Fraction(bps[0]) - 1]
+    for i, b in enumerate(bps):
+        xs.append(Fraction(b))
+        if i + 1 < len(bps):
+            xs.append((Fraction(b) + Fraction(bps[i + 1])) / 2)
+    xs.append(Fraction(bps[-1]) + 1)
+    return {
+        x: (dist_fn(d, DistFnFlavor.LEFT_CLOSED, x), dist_fn(d, DistFnFlavor.LEFT_OPEN, x))
+        for x in xs
+    }
+
+
+def reference_candidates(d, p, fixed):
+    """The candidate grid built the plain way: a dict of the fixed cells,
+    every interval's crossing of level p added, then sorted."""
+    cells = dict(fixed)
+    bps = breakpoints(d)
+    for i in range(len(bps) - 1):
+        a, b = Fraction(bps[i]), Fraction(bps[i + 1])
+        fca = cells[a][0]
+        fob = cells[b][1]
+        gain = fob - fca
+        if gain > 0:
+            t = a + (p - fca) * (b - a) / gain
+            if a < t < b:
+                cells[t] = (
+                    dist_fn(d, DistFnFlavor.LEFT_CLOSED, t),
+                    dist_fn(d, DistFnFlavor.LEFT_OPEN, t),
+                )
+    return [(x, fc, fo) for x, (fc, fo) in sorted(cells.items())]
+
+
+def assert_grid_matches_reference(d, levels):
+    fixed = reference_fixed_cells(d)
+    for p in levels:
+        grid = _candidates(d, p)
+        assert grid.cells == reference_candidates(d, p, fixed), (d, p)
+        for signs, col in ((grid.closed, 1), (grid.open, 2)):
+            assert signs == [(c[col] > p) - (c[col] < p) for c in grid.cells], (d, p)
+
+
+SEG = UniformSegment
+
+
+class TestCandidateGrid:
+    """The stored grid with one crossing merged per interval gives the
+    cells of the dict-and-sort reference, in the same order."""
+
+    def test_corpus_mixtures_and_their_negations(self):
+        levels = standard_levels()
+        for seed in range(200):
+            d = random_mixture(GeneratorConfig(seed=seed))
+            assert_grid_matches_reference(d, levels)
+            assert_grid_matches_reference(negate(d), [1 - p for p in levels])
+
+    @pytest.mark.parametrize(
+        "d, p, added",
+        [
+            # the crossing lands exactly on the interval's midpoint
+            (MixtureDistribution(segments=(SEG(0.0, 2.0, Fraction(1)),)), Fraction(1, 2), []),
+            # p equals F at a breakpoint: no interval crosses it
+            (
+                MixtureDistribution(
+                    atoms=(Atom(0.0, Fraction(1, 2)),), segments=(SEG(1.0, 3.0, Fraction(1, 2)),)
+                ),
+                Fraction(1, 2),
+                [],
+            ),
+            # an atom on a segment's end; the crossing sits left of the midpoint
+            (
+                MixtureDistribution(
+                    atoms=(Atom(1.0, Fraction(1, 4)),), segments=(SEG(0.0, 1.0, Fraction(3, 4)),)
+                ),
+                Fraction(1, 4),
+                [Fraction(1, 3)],
+            ),
+            # ... and inside the atom's jump nothing crosses
+            (
+                MixtureDistribution(
+                    atoms=(Atom(1.0, Fraction(1, 4)),), segments=(SEG(0.0, 1.0, Fraction(3, 4)),)
+                ),
+                Fraction(7, 8),
+                [],
+            ),
+            # a gapped support: the massless gap has no crossing
+            (
+                MixtureDistribution(
+                    segments=(SEG(0.0, 1.0, Fraction(1, 2)), SEG(2.0, 3.0, Fraction(1, 2)))
+                ),
+                Fraction(1, 2),
+                [],
+            ),
+            (
+                MixtureDistribution(
+                    segments=(SEG(0.0, 1.0, Fraction(1, 2)), SEG(2.0, 3.0, Fraction(1, 2)))
+                ),
+                Fraction(5, 6),
+                [Fraction(8, 3)],
+            ),
+        ],
+    )
+    def test_hand_cases(self, d, p, added):
+        fixed = reference_fixed_cells(d)
+        xs = [c[0] for c in _candidates(d, p).cells]
+        assert sorted(set(xs) - set(fixed)) == added
+        assert_grid_matches_reference(d, [p, *standard_levels()])
 
 
 class TestPropertyChecks:
@@ -234,6 +352,29 @@ class TestRunSuite:
             GeneratorConfig(seed=9), 2, [Fraction(1, 2)], maps=[("negation", negation_map())]
         )
         assert suite_passed(reports)
+
+
+class TestGoldenReports:
+    """The JSON of two suites, digested at the commit before the oracle's
+    grid became a stored table with one crossing merged per level; any
+    change in a check's result or its details text changes the digest."""
+
+    @pytest.mark.parametrize(
+        "seed, lq_fn, digest",
+        [
+            (42, None, "a9d5e643ac7303a4c1175628de46dda2d1b9bbc7040a3ef4e36b1db2cd544e63"),
+            (
+                3,
+                off_by_one_left_quantile,
+                "012637e9dcaef6c7ca157ac5a731c085f4eb499db363e38c995a362dbe891518",
+            ),
+        ],
+        ids=["seed42", "seed3-off-by-one"],
+    )
+    def test_report_digest(self, seed, lq_fn, digest):
+        reports = run_suite(GeneratorConfig(seed=seed), 5, standard_levels(seed), lq_fn=lq_fn)
+        text = json.dumps(reports_to_json(reports), indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestMutationSensitivity:
