@@ -82,8 +82,13 @@ def _parse_levels(spec: str) -> list[Fraction]:
     return out
 
 
-def _is_index(selector: str) -> bool:
-    return selector.lstrip("+-").isdigit()
+def _as_index(selector: str):
+    # the index a selector names, or None for a column name; the int()
+    # that reads an index decides, so '²' (a digit to str.isdigit) is a name
+    try:
+        return int(selector)
+    except ValueError:
+        return None
 
 
 def _is_number(cell: str) -> bool:
@@ -97,10 +102,10 @@ def _is_number(cell: str) -> bool:
 def _resolve_column(selector: str, header_row, n_cols: int, path: str) -> int:
     if header_row is not None and selector in header_row:
         return header_row.index(selector)
-    if not _is_index(selector):
+    idx = _as_index(selector)
+    if idx is None:
         hint = f"header row is {header_row}" if header_row else "the file has no header row"
         _fail(EXIT_PARSE, f"{path}: unknown column {selector!r} ({hint})")
-    idx = int(selector)
     if not 0 <= idx < n_cols:
         _fail(EXIT_PARSE, f"{path}: column index {idx} out of range (file has {n_cols} columns)")
     return idx
@@ -141,16 +146,16 @@ def _load_column(path: str, column: str, weights, delimiter: str, header):
     if first is None:
         _fail(EXIT_PARSE, f"{path}: file has no rows")
 
-    named = [s for s in (column, weights) if s is not None and not _is_index(s)]
+    named = [s for s in (column, weights) if s is not None and _as_index(s) is None]
     if header is None:
         if named:
             header = True
         else:
-            idx = int(column)
+            idx = _as_index(column)
             cells = first[1]
             header = not (0 <= idx < len(cells) and _is_number(cells[idx].strip()))
     if header:
-        header_row = [c.strip() for c in first[1]]
+        header_line, header_row = first[0], [c.strip() for c in first[1]]
         first = next(rows, None)
     else:
         header_row = None
@@ -162,12 +167,15 @@ def _load_column(path: str, column: str, weights, delimiter: str, header):
     n_cols = len(first[1])
     ci = _resolve_column(column, header_row, n_cols, path)
     wi = _resolve_column(weights, header_row, n_cols, path) if weights is not None else None
+    width = 1 + max(i for i in (ci, wi) if i is not None)  # the fields a row must have
+    if header_row is not None and len(header_row) < width:
+        missing = ci if ci >= len(header_row) else wi
+        _fail(EXIT_PARSE, f"{path}: line {header_line} has {len(header_row)} fields, column {missing} is missing")
     col_label = header_row[ci] if header_row else f"column {ci}"
     w_label = (header_row[wi] if header_row else f"column {wi}") if wi is not None else None
 
     values: list[float] = []
     wvals: list[Fraction] = []
-    width = 1 + max(i for i in (ci, wi) if i is not None)  # the fields a row must have
     for line_num, row in chain((first,), rows):
         if len(row) < width:
             label = col_label if ci >= len(row) else w_label

@@ -29,7 +29,6 @@ from .distributions import (
     as_extended,
     as_level,
     essential_bounds,
-    stored,
 )
 from .errors import (
     ContinuityMismatchError,
@@ -344,12 +343,6 @@ def _push_piecewise(d: MixtureDistribution, m: PiecewiseMonotoneMap) -> MixtureD
     )
 
 
-@stored
-def _images(d: MixtureDistribution) -> dict:
-    # id(map) -> (map, pushforward of d through it)
-    return {}
-
-
 def pushforward(d: MixtureDistribution, m: MonotoneMap) -> MixtureDistribution:
     """Exact distribution of m(X).
 
@@ -360,24 +353,12 @@ def pushforward(d: MixtureDistribution, m: MonotoneMap) -> MixtureDistribution:
     slope zero.  The curved smooth kinds (pow10neg, neglog10) accept
     only atom-only distributions, since they would bend a uniform
     segment into a non-uniform law this model cannot represent.
-
-    The image is memoized on ``d`` per map object.  Equal inputs are not
-    enough for a hit: ``affine_map(2.0, -0.0) == affine_map(2.0, 0.0)``
-    and ``make_empirical([-0.0]) == make_empirical([0.0])``, yet the
-    signs of their images differ.
     """
-    images = _images(d)
-    hit = images.get(id(m))
-    if hit is not None:
-        return hit[1]
     if isinstance(m, SmoothMonotoneMap):
-        image = _push_smooth(d, m)
-    elif isinstance(m, PiecewiseMonotoneMap):
-        image = _push_piecewise(d, m)
-    else:
-        raise TypeError(f"not a monotone map: {m!r}")
-    images[id(m)] = (m, image)  # holding m keeps its id from being reused
-    return image
+        return _push_smooth(d, m)
+    if isinstance(m, PiecewiseMonotoneMap):
+        return _push_piecewise(d, m)
+    raise TypeError(f"not a monotone map: {m!r}")
 
 
 def equivariant_quantile(

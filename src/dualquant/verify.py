@@ -171,13 +171,7 @@ def _candidate_table(d: MixtureDistribution) -> _Grid:
 
 class _LevelGrid(NamedTuple):
     """The candidate grid at one level, with the sign of F - p at each
-    cell for both flavors (1 above p, 0 at p, -1 below).
-
-    These are lists, not tuples: CPython keeps up to 2000 freed tuples
-    of each length below 20 for reuse, and with a tuple per level these
-    stayed allocated after their mixture was gone (with CPython 3.11,
-    0.7 MiB more peak RSS over 30 mixtures in one process; lists showed
-    none)."""
+    cell for both flavors (1 above p, 0 at p, -1 below)."""
 
     cells: list[tuple[Fraction, Probability, Probability]]
     closed: list[int]  # sign of P(X<=x) - p
@@ -190,20 +184,11 @@ def _signs(fs, p: Probability) -> list[int]:
     return [(v > 0) - (v < 0) for v in (f.numerator * pd - pn * f.denominator for f in fs)]
 
 
-@stored
-def _candidates_by_level(d: MixtureDistribution) -> dict:
-    return {}  # level -> the `_LevelGrid` built for it
-
-
 def _candidates(d: MixtureDistribution, p: Probability) -> _LevelGrid:
     # insert, per breakpoint interval (a, b) that carries mass, the point
     # t where F crosses level p: P(X<=a) < p < P(X<b) is exactly a < t < b.
     # Right to left, so the stored indices of the intervals still to visit
     # stay valid; t beside the midpoint keeps the cells in order.
-    memo = _candidates_by_level(d)
-    found = memo.get(p)
-    if found is not None:
-        return found
     grid = _candidate_table(d)
     cells = list(grid.cells)
     for k, a, fca, fob, run in reversed(grid.crossings):
@@ -212,10 +197,7 @@ def _candidates(d: MixtureDistribution, p: Probability) -> _LevelGrid:
             mid = cells[k + 1][0]
             if t != mid:
                 cells.insert(k + 1 if t < mid else k + 2, _cell(d, t))
-    memo[p] = found = _LevelGrid(
-        cells, _signs([c[1] for c in cells], p), _signs([c[2] for c in cells], p)
-    )
-    return found
+    return _LevelGrid(cells, _signs([c[1] for c in cells], p), _signs([c[2] for c in cells], p))
 
 
 # (mode, which sign of a candidate: 0 for P(X<=x) - p, 1 for P(X<x) - p, test against 0)
@@ -247,8 +229,13 @@ def quantile_by_definition(
     p = as_level(p)
     if not isinstance(variant, QuantileVariant):
         raise TypeError(f"variant must be a QuantileVariant, got {variant!r}")
+    return _scan(_candidates(d, p), variant)
+
+
+def _scan(grid: _LevelGrid, variant: QuantileVariant) -> ExtendedReal:
+    # one variant's inf or sup over the candidate grid at its level
     mode, col, test = _VARIANT_RULES[variant]
-    cells, closed, opened = _candidates(d, p)
+    cells, closed, opened = grid
     strict = test is operator.gt or test is operator.lt
     flags = [test(s, 0) for s in (closed, opened)[col]]
     if mode == "inf":
@@ -349,12 +336,25 @@ def _level_free_checks(d: MixtureDistribution, lq_fn: QuantileFn) -> _LevelFree:
     return _LevelFree(h, j, grid, tuple(span * Fraction(k, 8) for k in range(1, 9)))
 
 
+class _AtLevel(NamedTuple):
+    """What checks a-k, S and V share at one level p: lq and rq from the
+    battery's quantile functions, and the oracle's candidate grid on d."""
+
+    p: Probability
+    lq: ExtendedReal
+    rq: ExtendedReal
+    grid: _LevelGrid
+
+
+def _at_level(d: MixtureDistribution, p: Probability, lq_fn: QuantileFn) -> _AtLevel:
+    return _AtLevel(p, lq_fn(d, p), right_quantile(d, p), _candidates(d, p))
+
+
 def _property_results(
-    d: MixtureDistribution, p: Probability, lq_fn: QuantileFn, fixed: _LevelFree
+    d: MixtureDistribution, at: _AtLevel, lq_fn: QuantileFn, fixed: _LevelFree
 ) -> list[CheckResult]:
     out = []
-    lq = lq_fn(d, p)
-    rq = right_quantile(d, p)
+    p, lq, rq = at.p, at.lq, at.rq
     fc_lq = dist_fn(d, DistFnFlavor.LEFT_CLOSED, lq)
     fo_rq = dist_fn(d, DistFnFlavor.LEFT_OPEN, rq)
 
@@ -377,7 +377,7 @@ def _property_results(
             )
         )
 
-    sup_form = quantile_by_definition(d, p, QuantileVariant.RQ_CLOSED_SUP)
+    sup_form = _scan(at.grid, QuantileVariant.RQ_CLOSED_SUP)
     out.append(
         CheckResult(
             "d", rq == sup_form, f"rq={format_extended(rq)} == sup-form {format_extended(sup_form)}"
@@ -437,14 +437,12 @@ def _property_results(
     return out
 
 
-def _symmetry_results(
-    d: MixtureDistribution, p: Probability, lq_fn: QuantileFn
-) -> list[CheckResult]:
-    nd = negate(d)
-    lq = lq_fn(d, p)
-    rq = right_quantile(d, p)
-    lq_mirror = -quantile_by_definition(nd, 1 - p, QuantileVariant.RQ_CLOSED_INF)
-    rq_mirror = -quantile_by_definition(nd, 1 - p, QuantileVariant.LQ_CLOSED_INF)
+def _symmetry_results(nd: MixtureDistribution, at: _AtLevel) -> list[CheckResult]:
+    # nd is the negation of the mixture at.lq and at.rq come from
+    lq, rq = at.lq, at.rq
+    mirror = _candidates(nd, 1 - at.p)
+    lq_mirror = -_scan(mirror, QuantileVariant.RQ_CLOSED_INF)
+    rq_mirror = -_scan(mirror, QuantileVariant.LQ_CLOSED_INF)
     ok = lq == lq_mirror and rq == rq_mirror
     return [
         CheckResult(
@@ -473,29 +471,11 @@ def _shape_witnesses(d: MixtureDistribution) -> tuple[bool, bool]:
     return ok_cont, ok_mono
 
 
-def _variant_results(
-    d: MixtureDistribution, p: Probability, lq_fn: QuantileFn, shapes_ok: tuple[bool, bool]
-) -> list[CheckResult]:
-    lq = lq_fn(d, p)
-    rq = right_quantile(d, p)
-    lq_defs = {
-        v: quantile_by_definition(d, p, v)
-        for v in (
-            QuantileVariant.LQ_CLOSED_INF,
-            QuantileVariant.LQ_OPEN_INF,
-            QuantileVariant.LQ_CLOSED_SUP,
-        )
-    }
-    rq_defs = {
-        v: quantile_by_definition(d, p, v)
-        for v in (
-            QuantileVariant.RQ_CLOSED_INF,
-            QuantileVariant.RQ_OPEN_INF,
-            QuantileVariant.RQ_CLOSED_SUP,
-        )
-    }
-    ok_lq = all(v == lq for v in lq_defs.values())
-    ok_rq = all(v == rq for v in rq_defs.values())
+def _variant_results(at: _AtLevel, shapes_ok: tuple[bool, bool]) -> list[CheckResult]:
+    lq, rq = at.lq, at.rq
+    forms = [_scan(at.grid, v) for v in QuantileVariant]  # the three lq forms, then the rq ones
+    ok_lq = all(x == lq for x in forms[:3])
+    ok_rq = all(x == rq for x in forms[3:])
 
     ok_cont, ok_mono = shapes_ok
     ok = ok_lq and ok_rq and ok_cont and ok_mono
@@ -511,18 +491,30 @@ def _variant_results(
     ]
 
 
-def _equivariance_results(
-    d: MixtureDistribution,
-    p: Probability,
-    maps: Sequence[tuple[str, MonotoneMap]],
-) -> list[CheckResult]:
-    checked = 0
-    skipped = 0
-    failures = []
+_Image = tuple[str, MonotoneMap, Optional[MixtureDistribution]]
+
+
+def _pushforwards(d: MixtureDistribution, maps: Sequence[tuple[str, MonotoneMap]]) -> list[_Image]:
+    """Each named map with the pushforward of d through it, or None
+    where the map cannot push d."""
+    out = []
     for name, m in maps:
         try:
             push = pushforward(d, m)
         except (UnsupportedPushforwardError, MapDomainError):
+            push = None
+        out.append((name, m, push))
+    return out
+
+
+def _equivariance_results(
+    d: MixtureDistribution, p: Probability, images: Sequence[_Image]
+) -> list[CheckResult]:
+    checked = 0
+    skipped = 0
+    failures = []
+    for name, m, push in images:
+        if push is None:
             skipped += 2
             continue
         for side in (QuantileSide.LEFT, QuantileSide.RIGHT):
@@ -544,7 +536,7 @@ def _equivariance_results(
                     f"!= routed {format_extended(routed)}"
                 )
     ok = not failures
-    detail = f"{checked} identities checked, {skipped} skipped over {len(maps)} maps"
+    detail = f"{checked} identities checked, {skipped} skipped over {len(images)} maps"
     if failures:
         detail += "; " + "; ".join(failures[:3])
     return [CheckResult("E", ok, detail)]
@@ -556,7 +548,7 @@ def check_quantile_properties(
     """Run the one-sided quantile property battery (ids a-k) at one level."""
     p = as_level(p)
     lq_fn = lq_fn or left_quantile
-    results = _property_results(d, p, lq_fn, _level_free_checks(d, lq_fn))
+    results = _property_results(d, _at_level(d, p, lq_fn), lq_fn, _level_free_checks(d, lq_fn))
     return PropertyReport(describe(d), p, tuple(results))
 
 
@@ -568,7 +560,8 @@ def check_symmetry(d: MixtureDistribution, p: LevelLike) -> PropertyReport:
     independent route on an independently constructed object.
     """
     p = as_level(p)
-    return PropertyReport(describe(d), p, tuple(_symmetry_results(d, p, left_quantile)))
+    results = _symmetry_results(negate(d), _at_level(d, p, left_quantile))
+    return PropertyReport(describe(d), p, tuple(results))
 
 
 # ---------------------------------------------------------------------------
@@ -773,14 +766,17 @@ def run_suite(
     for i in range(n_dists):
         d = random_mixture(replace(cfg, seed=cfg.seed + i))
         label = describe(d)
+        nd = negate(d)
         fixed = _level_free_checks(d, lq_fn)
         shapes_ok = _shape_witnesses(d)
+        images = _pushforwards(d, map_list)
         for p in levels:
+            at = _at_level(d, p, lq_fn)
             results = (
-                _property_results(d, p, lq_fn, fixed)
-                + _symmetry_results(d, p, lq_fn)
-                + _variant_results(d, p, lq_fn, shapes_ok)
-                + _equivariance_results(d, p, map_list)
+                _property_results(d, at, lq_fn, fixed)
+                + _symmetry_results(nd, at)
+                + _variant_results(at, shapes_ok)
+                + _equivariance_results(d, p, images)
             )
             reports.append(PropertyReport(label, p, tuple(results)))
     return reports

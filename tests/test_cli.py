@@ -20,6 +20,9 @@ def rain():
     return str(rain_csv_path())
 
 
+NARROW_HEADER = "line 1 has 2 fields, column 3 is missing"
+
+
 def rows_of(output):
     return [line.split() for line in output.strip().splitlines()]
 
@@ -270,6 +273,36 @@ class TestExitCodes:
         res = runner.invoke(main, ["quantile", str(f), "--column", "v", "--levels", "0.5"])
         assert res.exit_code == 3
         assert message in res.stderr
+
+    @pytest.mark.parametrize(
+        "data, selectors, message",
+        [
+            # '²'.isdigit() is true, yet int('²') refuses it: it is a name
+            ("v,w\n1,2\n", ["--column", "²"], "unknown column '²'"),
+            ("v,w\n1,2\n", ["--column", "v", "--weights", "²"], "unknown column '²'"),
+            ("v,w\n1,2\n", ["--column", "+-1"], "unknown column '+-1'"),
+            ("v,w\n1,2\n", ["--column", "²", "--no-header"], "needs a header row"),
+            ("v,w\n1,2\n", ["--column", "-1"], "column index -1 out of range"),
+            # a header narrower than the data rows names no column 3
+            ("a,b\n1,2,3,4\n", ["--column", "3"], NARROW_HEADER),
+            ("a,b\n1,2,3,4\n", ["--column", "3", "--header"], NARROW_HEADER),
+            ("a,b\n1,2,3,4\n", ["--weights", "3"], NARROW_HEADER),
+            ("a,b\n1,2,3,4\n", ["--column", "a", "--weights", "3"], NARROW_HEADER),
+            # a wider one leaves the data rows short
+            ("a,b,c,d\n1,2\n", ["--column", "d"], "line 2 has 2 fields, d is missing"),
+            ("a,b,c,d\n1,2\n", ["--column", "3"], "column index 3 out of range"),
+        ],
+        ids=["superscript-column", "superscript-weights", "two-signs", "superscript-no-header",
+             "negative-index", "narrow-header", "narrow-header-forced", "narrow-header-weights",
+             "narrow-header-named-column", "wide-header-name", "wide-header-index"],
+    )
+    def test_column_selectors_are_3(self, runner, tmp_path, data, selectors, message):
+        f = tmp_path / "data.csv"
+        f.write_text(data, encoding="utf-8")
+        res = runner.invoke(main, ["quantile", str(f), *selectors, "--levels", "0.5"])
+        assert res.exit_code == 3
+        assert message in res.stderr
+        assert isinstance(res.exception, SystemExit)
 
     def test_quoted_fields_on_one_line_still_read(self, runner, tmp_path):
         f = tmp_path / "quoted.csv"

@@ -151,6 +151,31 @@ def test_quotes_in_an_unread_column_read_or_exit_3_at_their_line(data_path, cell
         assert (res.exit_code, res.stdout) == (ref.exit_code, ref.stdout)
 
 
+selectors = st.sampled_from(["0", "1", "3", "-1", "²", "v", "w"])
+
+
+@settings(FUZZ, max_examples=80)
+@given(
+    header_width=st.integers(1, 5),
+    rows=st.integers(1, 5).flatmap(
+        lambda width: st.lists(st.lists(values, min_size=width, max_size=width), min_size=1, max_size=3)
+    ),
+    column=selectors,
+    weights=st.none() | selectors,
+    header=st.sampled_from([[], ["--header"], ["--no-header"]]),
+)
+def test_column_selectors_end_in_a_documented_exit_code(
+    data_path, header_width, rows, column, weights, header
+):
+    # a header row narrower or wider than the data rows under it
+    lines = [",".join("vwxyz"[:header_width]), *(",".join(r) for r in rows)]
+    data_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    args = ["quantile", str(data_path), "--column", column, *header, "--levels", "0.5"]
+    if weights is not None:
+        args += ["--weights", weights]
+    assert_documented_exit(CliRunner().invoke(main, args))
+
+
 @settings(FUZZ, max_examples=120)
 @given(data=st.data(), spec=map_specs(), side=st.sampled_from(["left", "right"]))
 def test_transform_ends_in_a_documented_exit_code(data_path, data, spec, side):

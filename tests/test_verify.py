@@ -39,6 +39,7 @@ from dualquant import (
 from dualquant.verify import (
     _candidates,
     _equivariance_results,
+    _pushforwards,
     first_failure,
     report_to_dict,
     reports_to_json,
@@ -231,7 +232,8 @@ class TestPropertyChecks:
         # at level 1 the right side is routed from lq(0) = -inf to the
         # map's limit +inf, so both sides are checked, none skipped
         d = make_empirical([0.25, 1.5])
-        (res,) = _equivariance_results(d, Fraction(1), [("neglog10", neglog10_map())])
+        images = _pushforwards(d, [("neglog10", neglog10_map())])
+        (res,) = _equivariance_results(d, Fraction(1), images)
         assert res.passed
         assert res.details == "2 identities checked, 0 skipped over 1 maps"
 
@@ -416,8 +418,9 @@ class TestStockMaps:
 
 class TestLevelFreeChecksOncePerMixture:
     """`run_suite` computes the checks no level changes (h, j, the fixed
-    levels of i) once per mixture; each report must still read exactly
-    as `check_quantile_properties` computes it for that one level."""
+    levels of i) and the pushforwards once per mixture, and lq, rq and
+    the oracle's grids once per level; each report must still read
+    exactly as the checks compute it alone for that one level."""
 
     @pytest.mark.parametrize("lq_fn", [left_quantile, off_by_one_left_quantile])
     def test_suite_reports_match_single_level_batteries(self, lq_fn):
@@ -440,3 +443,19 @@ class TestLevelFreeChecksOncePerMixture:
     def test_monotonicity_grid_holds_the_level_itself(self, ph_dist, p, size):
         (i_check,) = [r for r in check_quantile_properties(ph_dist, p).results if r.check_id == "i"]
         assert i_check.details == f"both quantile functions non-decreasing over {size} levels"
+
+    def test_suite_symmetry_and_equivariance_match_fresh_runs(self):
+        # S as `check_symmetry` computes it at that one level, and E on
+        # images pushed afresh, through freshly built maps, for each level
+        for seed in (5, 23):
+            levels = standard_levels(seed)
+            reports = run_suite(GeneratorConfig(seed=seed), 4, levels)
+            for i in range(4):
+                d = random_mixture(GeneratorConfig(seed=seed + i))
+                for report in reports[i * len(levels) : (i + 1) * len(levels)]:
+                    p = report.level
+                    by_id = {r.check_id: r for r in report.results}
+                    (alone,) = check_symmetry(d, p).results
+                    assert by_id["S"] == alone, (seed + i, p)
+                    (fresh,) = _equivariance_results(d, p, _pushforwards(d, stock_maps()))
+                    assert by_id["E"] == fresh, (seed + i, p)
