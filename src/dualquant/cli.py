@@ -77,8 +77,6 @@ def _parse_levels(spec: str) -> list[Fraction]:
         if not 0 <= level <= 1:
             _fail(EXIT_LEVEL, f"level {raw.strip()!r} lies outside [0, 1]")
         out.append(level)
-    if not out:
-        _fail(EXIT_LEVEL, "no levels given")
     return out
 
 
@@ -113,7 +111,7 @@ def _resolve_column(selector: str, header_row, n_cols: int, path: str) -> int:
 
 def _read_text(path: str, kind: str = "") -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not text
     except (OSError, UnicodeDecodeError) as exc:
         _fail(EXIT_IO, f"cannot read {kind}{path}: {getattr(exc, 'strerror', None) or exc}")
 
@@ -212,9 +210,9 @@ def _data_options(f):
     for option in reversed(
         (
             click.option("--column", default="0", show_default=True,
-                         help="value column: header name or 0-based index"),
+                         help="value column: a header name, else a 0-based index read by int()"),
             click.option("--weights", default=None,
-                         help="optional weight column: header name or 0-based index"),
+                         help="optional weight column: a header name, else a 0-based index read by int()"),
             click.option("--delimiter", default=",", show_default=True, callback=_check_delimiter,
                          help="field delimiter"),
             click.option("--header/--no-header", "header", default=None,
@@ -332,7 +330,7 @@ def _load_map(map_arg: str):
         text = _read_text(map_arg.removeprefix("@"), "map file ")
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also an int past 4300 digits
         _fail(EXIT_MAP, f"map spec is not valid JSON: {exc}")
     try:
         return map_from_spec(obj)

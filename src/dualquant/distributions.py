@@ -235,6 +235,9 @@ def stored(fn):
     distribution.  A hit is the very object it was computed for, so a
     distribution never receives a value derived from an equal but
     different one (``-0.0 == 0.0``, so ``lru_cache`` would mix them up).
+    It serves the library's own repeated queries only (the quantile
+    profile, `dist_fn`'s tables, the breakpoints); callers that reuse
+    some other value of a distribution hold it themselves.
     """
     name = f"_{fn.__name__.lstrip('_')}"
 
@@ -318,17 +321,17 @@ def _sums(masses: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
 class _Tables(NamedTuple):
     """What `dist_fn` reads of one distribution, built once.
 
-    ``floats`` and ``exact`` both hold the sorted atom locations and
-    segment ends ``(locs, los, his)``, the latter as Fractions, so that a
-    Fraction argument bisects without converting a float at each
-    comparison.  Segment interiors are disjoint, so segments sorted by
+    ``locs``, ``los`` and ``his`` hold the sorted atom locations and
+    segment ends as Fractions, so an argument converted once bisects them
+    exactly.  Segment interiors are disjoint, so segments sorted by
     ``lo`` have sorted ``his`` too.  Entry k of a ``*_below`` table is the
     mass of the first k parts, entry k of an ``*_above`` table that of
     the parts from k on; left and right flavors read separate tables.
     """
 
-    floats: tuple[tuple[float, ...], ...]
-    exact: tuple[tuple[Fraction, ...], ...]
+    locs: tuple[Fraction, ...]
+    los: tuple[Fraction, ...]
+    his: tuple[Fraction, ...]
     density: tuple[Fraction, ...]  # mass per unit length of each segment
     atoms_below: list[Fraction]
     atoms_above: list[Fraction]
@@ -338,17 +341,14 @@ class _Tables(NamedTuple):
 
 @stored
 def _tables(d: MixtureDistribution) -> _Tables:
-    floats = (
-        tuple(a.location for a in d.atoms),
-        tuple(s.lo for s in d.segments),
-        tuple(s.hi for s in d.segments),
-    )
-    exact = tuple(tuple(map(Fraction, xs)) for xs in floats)
-    _, los, his = exact
+    locs = tuple(Fraction(a.location) for a in d.atoms)
+    los = tuple(Fraction(s.lo) for s in d.segments)
+    his = tuple(Fraction(s.hi) for s in d.segments)
     density = tuple(s.mass / (hi - lo) for s, lo, hi in zip(d.segments, los, his))
     return _Tables(
-        floats,
-        exact,
+        locs,
+        los,
+        his,
         density,
         *_sums([a.mass for a in d.atoms]),
         *_sums([s.mass for s in d.segments]),
@@ -371,31 +371,30 @@ def dist_fn(d: MixtureDistribution, flavor: DistFnFlavor, x: ExtendedReal) -> Pr
             raise BadValueError("a distribution function has no value at nan")
         high = x > 0
         return Fraction(1) if high == left else Fraction(0)
+    if not isinstance(x, Fraction):
+        x = Fraction.from_float(x)  # an int or a float; unlike Fraction(x), refuses a str
     t = _tables(d)
-    locs, los, his = t.exact if isinstance(x, Fraction) else t.floats
     if flavor is DistFnFlavor.LEFT_CLOSED:
-        acc = t.atoms_below[bisect_right(locs, x)]
+        acc = t.atoms_below[bisect_right(t.locs, x)]
     elif flavor is DistFnFlavor.LEFT_OPEN:
-        acc = t.atoms_below[bisect_left(locs, x)]
+        acc = t.atoms_below[bisect_left(t.locs, x)]
     elif flavor is DistFnFlavor.RIGHT_CLOSED:
-        acc = t.atoms_above[bisect_left(locs, x)]
+        acc = t.atoms_above[bisect_left(t.locs, x)]
     else:
-        acc = t.atoms_above[bisect_right(locs, x)]
-    _, lo, hi = t.exact
+        acc = t.atoms_above[bisect_right(t.locs, x)]
     if left:
-        i = bisect_right(his, x)  # the segments before i end at or below x
+        i = bisect_right(t.his, x)  # the segments before i end at or below x
         acc += t.segments_below[i]
-        if i < len(los) and los[i] < x:  # segment i straddles x
-            acc += t.density[i] * (Fraction(x) - lo[i])
+        if i < len(t.los) and t.los[i] < x:  # segment i straddles x
+            acc += t.density[i] * (x - t.los[i])
     else:
-        i = bisect_left(los, x)  # the segments from i on start at or above x
+        i = bisect_left(t.los, x)  # the segments from i on start at or above x
         acc += t.segments_above[i]
-        if i and x < his[i - 1]:  # segment i - 1 straddles x
-            acc += t.density[i - 1] * (hi[i - 1] - Fraction(x))
+        if i and x < t.his[i - 1]:  # segment i - 1 straddles x
+            acc += t.density[i - 1] * (t.his[i - 1] - x)
     return acc
 
 
-@stored
 def negate(d: MixtureDistribution) -> MixtureDistribution:
     """The distribution of -X.  Involutive: negate(negate(d)) == d."""
     return MixtureDistribution(

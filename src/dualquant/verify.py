@@ -40,7 +40,6 @@ from .distributions import (
     is_continuous,
     is_strictly_monotone_on_hull,
     negate,
-    stored,
 )
 from .errors import MapDomainError, ContinuityMismatchError, UnsupportedPushforwardError
 from .quantiles import (
@@ -152,7 +151,6 @@ def _cell(d: MixtureDistribution, x: Fraction) -> tuple[Fraction, Probability, P
     return x, dist_fn(d, DistFnFlavor.LEFT_CLOSED, x), dist_fn(d, DistFnFlavor.LEFT_OPEN, x)
 
 
-@stored
 def _candidate_table(d: MixtureDistribution) -> _Grid:
     bps = [Fraction(b) for b in breakpoints(d)]
     xs = [bps[0] - 1]
@@ -184,12 +182,11 @@ def _signs(fs, p: Probability) -> list[int]:
     return [(v > 0) - (v < 0) for v in (f.numerator * pd - pn * f.denominator for f in fs)]
 
 
-def _candidates(d: MixtureDistribution, p: Probability) -> _LevelGrid:
-    # insert, per breakpoint interval (a, b) that carries mass, the point
-    # t where F crosses level p: P(X<=a) < p < P(X<b) is exactly a < t < b.
-    # Right to left, so the stored indices of the intervals still to visit
-    # stay valid; t beside the midpoint keeps the cells in order.
-    grid = _candidate_table(d)
+def _candidates(d: MixtureDistribution, grid: _Grid, p: Probability) -> _LevelGrid:
+    # insert into d's grid, per breakpoint interval (a, b) that carries mass,
+    # the point t where F crosses level p: P(X<=a) < p < P(X<b) is exactly
+    # a < t < b.  Right to left, so the recorded indices of the intervals
+    # still to visit stay valid; t beside the midpoint keeps the cells in order.
     cells = list(grid.cells)
     for k, a, fca, fob, run in reversed(grid.crossings):
         if fca < p < fob:
@@ -229,7 +226,7 @@ def quantile_by_definition(
     p = as_level(p)
     if not isinstance(variant, QuantileVariant):
         raise TypeError(f"variant must be a QuantileVariant, got {variant!r}")
-    return _scan(_candidates(d, p), variant)
+    return _scan(_candidates(d, _candidate_table(d), p), variant)
 
 
 def _scan(grid: _LevelGrid, variant: QuantileVariant) -> ExtendedReal:
@@ -346,8 +343,8 @@ class _AtLevel(NamedTuple):
     grid: _LevelGrid
 
 
-def _at_level(d: MixtureDistribution, p: Probability, lq_fn: QuantileFn) -> _AtLevel:
-    return _AtLevel(p, lq_fn(d, p), right_quantile(d, p), _candidates(d, p))
+def _at_level(d: MixtureDistribution, grid: _Grid, p: Probability, lq_fn: QuantileFn) -> _AtLevel:
+    return _AtLevel(p, lq_fn(d, p), right_quantile(d, p), _candidates(d, grid, p))
 
 
 def _property_results(
@@ -437,10 +434,10 @@ def _property_results(
     return out
 
 
-def _symmetry_results(nd: MixtureDistribution, at: _AtLevel) -> list[CheckResult]:
-    # nd is the negation of the mixture at.lq and at.rq come from
+def _symmetry_results(nd: MixtureDistribution, nd_grid: _Grid, at: _AtLevel) -> list[CheckResult]:
+    # nd is the negation of the mixture at.lq and at.rq come from, nd_grid its table
     lq, rq = at.lq, at.rq
-    mirror = _candidates(nd, 1 - at.p)
+    mirror = _candidates(nd, nd_grid, 1 - at.p)
     lq_mirror = -_scan(mirror, QuantileVariant.RQ_CLOSED_INF)
     rq_mirror = -_scan(mirror, QuantileVariant.LQ_CLOSED_INF)
     ok = lq == lq_mirror and rq == rq_mirror
@@ -548,7 +545,8 @@ def check_quantile_properties(
     """Run the one-sided quantile property battery (ids a-k) at one level."""
     p = as_level(p)
     lq_fn = lq_fn or left_quantile
-    results = _property_results(d, _at_level(d, p, lq_fn), lq_fn, _level_free_checks(d, lq_fn))
+    at = _at_level(d, _candidate_table(d), p, lq_fn)
+    results = _property_results(d, at, lq_fn, _level_free_checks(d, lq_fn))
     return PropertyReport(describe(d), p, tuple(results))
 
 
@@ -560,7 +558,9 @@ def check_symmetry(d: MixtureDistribution, p: LevelLike) -> PropertyReport:
     independent route on an independently constructed object.
     """
     p = as_level(p)
-    results = _symmetry_results(negate(d), _at_level(d, p, left_quantile))
+    nd = negate(d)
+    at = _at_level(d, _candidate_table(d), p, left_quantile)
+    results = _symmetry_results(nd, _candidate_table(nd), at)
     return PropertyReport(describe(d), p, tuple(results))
 
 
@@ -767,14 +767,15 @@ def run_suite(
         d = random_mixture(replace(cfg, seed=cfg.seed + i))
         label = describe(d)
         nd = negate(d)
+        grid, nd_grid = _candidate_table(d), _candidate_table(nd)
         fixed = _level_free_checks(d, lq_fn)
         shapes_ok = _shape_witnesses(d)
         images = _pushforwards(d, map_list)
         for p in levels:
-            at = _at_level(d, p, lq_fn)
+            at = _at_level(d, grid, p, lq_fn)
             results = (
                 _property_results(d, at, lq_fn, fixed)
-                + _symmetry_results(nd, at)
+                + _symmetry_results(nd, nd_grid, at)
                 + _variant_results(at, shapes_ok)
                 + _equivariance_results(d, p, images)
             )

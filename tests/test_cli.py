@@ -138,6 +138,42 @@ class TestQuantileCommand:
         out = json.loads(res.stdout)
         assert out["column"] == "v" and out["rows"][0]["left"] == 2.0
 
+    @pytest.mark.parametrize(
+        "data, args",
+        [
+            # headerless: the mark must not make the first row read as a header
+            ("1.0\n2.0\n3.0\n4.0\n", ["--levels", "0.25,0.5"]),
+            # with a header: the first name must not carry the mark
+            ("value,w\n1.0,1\n2.0,3\n", ["--column", "value", "--weights", "w", "--levels", "0.5"]),
+        ],
+        ids=["headerless", "header-name"],
+    )
+    def test_a_byte_order_mark_is_not_data(self, runner, tmp_path, data, args):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(data, encoding="utf-8")
+        marked.write_text(data, encoding="utf-8-sig")
+        want = runner.invoke(main, ["quantile", str(plain), *args])
+        res = runner.invoke(main, ["quantile", str(marked), *args])
+        assert res.exit_code == want.exit_code == 0, res.stderr
+        assert res.stdout == want.stdout
+
+    def test_a_header_name_wins_over_an_index(self, runner, tmp_path):
+        # on a header row `1,0`, the selector 0 names the second column;
+        # a selector no header cell spells is an index
+        f = tmp_path / "digits.csv"
+        f.write_text("1,0\n5,7\n6,8\n")
+        got = {}
+        for selector in ("0", "1", "-0"):
+            res = runner.invoke(
+                main,
+                ["quantile", str(f), "--header", "--column", selector, "--levels", "1",
+                 "--format", "json"],
+            )
+            assert res.exit_code == 0, res.stderr
+            out = json.loads(res.stdout)
+            got[selector] = (out["column"], out["rows"][0]["left"])
+        assert got == {"0": ("0", 8.0), "1": ("1", 6.0), "-0": ("1", 6.0)}
+
 
 class TestExitCodes:
     def test_unreadable_file_is_2(self, runner):
@@ -236,10 +272,18 @@ class TestExitCodes:
             (["quantile", "--delimiter", "ab"], b"v\n1.0\n", 2, "1-character string"),
             (["quantile", "--delimiter", ""], b"v\n1.0\n", 2, "1-character string"),
             (["quantile"], b"v\n1.0\n\xe92.0\n", 2, "cannot read"),
+            (["quantile"], b"\xef\xbb\xbfv\n1.0\n\xe92.0\n", 2, "cannot read"),
             (["transform", "--map", "@{map}"], b"v\n1.0\n", 2, "cannot read map file"),
+            # nested past the recursion limit, and an int past 4300 digits
+            # (braces doubled for str.format)
+            (["transform", "--map", '{{"kind":' + "[" * 100_000], b"v\n1.0\n", 5,
+             "map spec is not valid JSON"),
+            (["transform", "--map", '{{"kind":"affine","a":1,"b":1' + "0" * 4999 + "}}"],
+             b"v\n1.0\n", 5, "map spec is not valid JSON"),
         ],
         ids=["over-long-field", "two-char-delimiter", "empty-delimiter", "data-not-utf8",
-             "map-not-utf8"],
+             "data-not-utf8-after-a-bom", "map-not-utf8", "map-nested-too-deep",
+             "map-int-too-long"],
     )
     def test_malformed_input_exits_without_a_traceback(
         self, runner, tmp_path, command, data, code, message
@@ -409,6 +453,15 @@ class TestTransformCommand:
             )
             assert res.exit_code == 0
             assert rows_of(res.stdout)[1][3] == "yes"
+
+    def test_map_file_with_a_byte_order_mark(self, runner, rain, tmp_path):
+        f = tmp_path / "map.json"
+        f.write_text('{"kind":"affine","a":2.0,"b":1.0}', encoding="utf-8-sig")
+        res = runner.invoke(
+            main, ["transform", rain, "--column", "pH", "--levels", "0.5", "--map", "@" + str(f)]
+        )
+        assert res.exit_code == 0, res.stderr
+        assert rows_of(res.stdout)[1][3] == "yes"
 
 
 class TestVerifyCommand:

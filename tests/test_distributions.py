@@ -368,6 +368,24 @@ class TestDistFn:
         assert dist_fn(d, G_CLOSED, 0.5) == Fraction(3, 4)
         assert dist_fn(d, G_OPEN, 0.5) == Fraction(1, 4)
 
+    @pytest.mark.parametrize("flavor", ALL_FLAVORS)
+    def test_every_numeric_argument_type_reads_alike(self, flavor):
+        # an int, a float (either zero) and a Fraction naming one number
+        # give one exact value, the one the part-by-part sum gives
+        d = MixtureDistribution(
+            atoms=(Atom(-0.0, Fraction(1, 4)), Atom(2.0, Fraction(1, 4))),
+            segments=(uniform(-1, 0, Fraction(1, 4)), uniform(1, 3, Fraction(1, 4))),
+        )
+        for forms in ([0, 0.0, -0.0, Fraction(0)], [2, 2.0, Fraction(2)], [-1, -1.0, Fraction(-1)],
+                      [0.5, Fraction(1, 2)], [10**400], [-(10**400)]):
+            want = dist_fn_by_parts(d, flavor, forms[0])
+            for x in forms:
+                got = dist_fn(d, flavor, x)
+                assert got == want and isinstance(got, Fraction), (flavor, x)
+        for text in ("1.0", "x"):
+            with pytest.raises(TypeError):
+                dist_fn(d, flavor, text)
+
 
 def dist_fn_by_parts(d, flavor, x):
     # the definition, one part at a time in Fractions
@@ -462,7 +480,9 @@ class TestNegate:
         neg_zero = make_empirical([-0.0, 1.0])
         assert math.copysign(1.0, negate(pos_zero).atoms[1].location) == -1.0
         assert math.copysign(1.0, negate(neg_zero).atoms[1].location) == 1.0
-        assert negate(neg_zero) is negate(neg_zero)
+
+    def test_each_call_builds_an_equal_distribution(self, ph_dist):
+        assert negate(ph_dist) == negate(ph_dist)
 
     @pytest.mark.parametrize("x", [4.0, 4.7336, 4.8327, 5.0, 5.6105, 6.0])
     def test_mirror_swaps_tail_functions(self, ph_dist, x):

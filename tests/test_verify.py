@@ -37,6 +37,7 @@ from dualquant import (
     stock_maps,
 )
 from dualquant.verify import (
+    _candidate_table,
     _candidates,
     _equivariance_results,
     _pushforwards,
@@ -132,8 +133,9 @@ def reference_candidates(d, p, fixed):
 
 def assert_grid_matches_reference(d, levels):
     fixed = reference_fixed_cells(d)
+    table = _candidate_table(d)
     for p in levels:
-        grid = _candidates(d, p)
+        grid = _candidates(d, table, p)
         assert grid.cells == reference_candidates(d, p, fixed), (d, p)
         for signs, col in ((grid.closed, 1), (grid.open, 2)):
             assert signs == [(c[col] > p) - (c[col] < p) for c in grid.cells], (d, p)
@@ -201,9 +203,19 @@ class TestCandidateGrid:
     )
     def test_hand_cases(self, d, p, added):
         fixed = reference_fixed_cells(d)
-        xs = [c[0] for c in _candidates(d, p).cells]
+        xs = [c[0] for c in _candidates(d, _candidate_table(d), p).cells]
         assert sorted(set(xs) - set(fixed)) == added
         assert_grid_matches_reference(d, [p, *standard_levels()])
+
+
+class TestVerifierStoresNothing:
+    def test_checks_leave_only_the_library_memos_on_a_mixture(self):
+        d = random_mixture(GeneratorConfig(seed=7))
+        p = Fraction(1, 3)
+        quantile_by_definition(d, p, QuantileVariant.LQ_CLOSED_INF)
+        check_quantile_properties(d, p)
+        check_symmetry(d, p)
+        assert set(vars(d)) == {"atoms", "segments", "_tables", "_profile", "_breakpoints"}
 
 
 class TestPropertyChecks:
