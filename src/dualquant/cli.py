@@ -173,7 +173,7 @@ def _load_column(path: str, column: str, weights, delimiter: str, header):
     w_label = (header_row[wi] if header_row else f"column {wi}") if wi is not None else None
 
     values: list[float] = []
-    wvals: list[Fraction] = []
+    wvals: list[int | Fraction] = []
     for line_num, row in chain((first,), rows):
         if len(row) < width:
             label = col_label if ci >= len(row) else w_label
@@ -189,7 +189,9 @@ def _load_column(path: str, column: str, weights, delimiter: str, header):
         if wi is not None:
             wcell = row[wi].strip()
             try:
-                w = as_exact(wcell)
+                # an all-digit cell is read as an int, the common weight,
+                # without the regex; make_empirical takes it as it is
+                w = int(wcell) if wcell.isascii() and wcell.isdigit() else as_exact(wcell)
             except ValueError:
                 _fail(EXIT_PARSE, f"{path}: line {line_num}, {w_label}: cannot parse weight {wcell!r}")
             if w.numerator <= 0:

@@ -1,8 +1,9 @@
 """Finite mixtures of point masses and uniform segments.
 
 Probability is kept exact throughout: masses, weights and levels are
-`fractions.Fraction`, support coordinates are floats compared exactly,
-never through a tolerance.  That is what lets the complement identities
+`fractions.Fraction`s or integer counts over an exact total, and support
+coordinates are floats compared exactly, never through a tolerance.
+That is what lets the complement identities
 (P(X<=x) + P(X>x) = 1 and P(X<x) + P(X>=x) = 1) hold as equalities
 rather than approximations.  Every value here is immutable.
 """
@@ -10,12 +11,14 @@ rather than approximations.  Every value here is immutable.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import wraps
-from itertools import accumulate
+from functools import cached_property, wraps
+from itertools import accumulate, islice
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import BadValueError, BadWeightError, EmptyDataError
@@ -82,8 +85,6 @@ def as_exact(value: Union[int, float, str, Fraction]) -> Fraction:
     else:
         raise TypeError(f"cannot read a {type(value).__name__} as an exact number")
     try:
-        if text.isascii() and text.isdigit():  # the common weight cell: skip the regex
-            return Fraction(int(text))
         # every exponent Fraction accepts, int accepts too, so a failure
         # here names text that Fraction would refuse anyway
         _, e, exponent = text.upper().partition("E")
@@ -193,39 +194,107 @@ class UniformSegment:
         return Fraction(self.hi) - Fraction(self.lo)
 
 
-@dataclass(frozen=True)
 class MixtureDistribution:
     """A finite mixture of atoms and uniform segments with total mass 1.
 
-    Construction canonicalizes: parts are sorted, duplicate atom
-    locations and overlapping segment interiors are rejected, and
-    masses are renormalized exactly so they sum to 1.  Touching
-    segments (one ending where the next begins) and atoms sitting
-    inside or on segments are all legal.
+    The atoms are kept as sorted columns: their float locations and, for
+    each, its mass as a positive integer numerator and denominator, as
+    given or pooled, not yet normalized.  One exact total of every mass
+    normalizes them; the segments are stored normalized.  Construction
+    canonicalizes: parts are sorted, duplicate atom locations and
+    overlapping segment interiors are rejected.  Touching segments (one
+    ending where the next begins) and atoms sitting inside or on
+    segments are all legal.
+
+    ``atoms`` is built from the columns on first read, each mass as its
+    numerator over its denominator divided by the total; the quantile
+    profile, `dist_fn` and `negate` read the columns instead.  Equality
+    and hashing compare the normalized atoms and segments.
     """
 
-    atoms: tuple[Atom, ...] = ()
-    segments: tuple[UniformSegment, ...] = ()
+    def __init__(self, atoms: Iterable[Atom] = (), segments: Iterable[UniformSegment] = ()):
+        atoms = sorted(atoms, key=lambda a: a.location)
+        self._set_columns(
+            tuple(a.location for a in atoms),
+            tuple(a.mass.numerator for a in atoms),
+            tuple(a.mass.denominator for a in atoms),
+            segments,
+        )
 
-    def __post_init__(self):
-        atoms = tuple(sorted(self.atoms, key=lambda a: a.location))
-        segments = tuple(sorted(self.segments, key=lambda s: (s.lo, s.hi)))
-        if not atoms and not segments:
+    @classmethod
+    def _of_columns(cls, locs, nums, dens, segments=(), what="atom location"):
+        # the construction path without Atoms: ``locs`` sorted, ``nums``
+        # and ``dens`` positive ints; ``what`` names a location in errors
+        d = cls.__new__(cls)
+        d._set_columns(locs, nums, dens, segments, what)
+        return d
+
+    def _set_columns(self, locs, nums, dens, segments, what="atom location"):
+        segments = sorted(segments, key=lambda s: (s.lo, s.hi))
+        if not locs and not segments:
             raise EmptyDataError("a distribution needs at least one atom or segment")
-        for a, b in zip(atoms, atoms[1:]):
-            if a.location == b.location:
-                raise BadValueError(f"duplicate atom location {b.location!r}")
+        # one pass: sorted locations that strictly increase hold no nan,
+        # so only the two ends can be infinite
+        if not (
+            all(map(operator.lt, locs, islice(locs, 1, None)))
+            and all(map(math.isfinite, locs[:1] + locs[-1:]))
+        ):
+            bad = next((x for x in locs if not math.isfinite(x)), None)
+            if bad is not None:
+                raise BadValueError(f"{what} must be finite, got {bad!r}")
+            bad = next(b for a, b in zip(locs, locs[1:]) if not a < b)
+            raise BadValueError(f"duplicate atom location {bad!r}")
         for s, t in zip(segments, segments[1:]):
             if t.lo < s.hi:
                 raise BadValueError(
                     f"segments [{s.lo}, {s.hi}] and [{t.lo}, {t.hi}] overlap"
                 )
-        total = sum(a.mass for a in atoms) + sum(s.mass for s in segments)
+        counts, den = as_counts(nums, dens)
+        total = Fraction(sum(counts), den) + sum(s.mass for s in segments)
         if total != 1:
-            atoms = tuple(Atom(a.location, a.mass / total) for a in atoms)
-            segments = tuple(UniformSegment(s.lo, s.hi, s.mass / total) for s in segments)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "segments", segments)
+            segments = [UniformSegment(s.lo, s.hi, s.mass / total) for s in segments]
+        self.__dict__.update(
+            _locs=locs, _nums=nums, _dens=dens, _total=total, segments=tuple(segments)
+        )
+
+    def _masses(self) -> list[Fraction]:
+        # each atom's normalized mass, in location order
+        t = self._total
+        return [Fraction(n, k) / t for n, k in zip(self._nums, self._dens)]
+
+    @cached_property
+    def atoms(self) -> tuple[Atom, ...]:
+        """The atoms in location order, with normalized masses; built on first read."""
+        return tuple(map(Atom, self._locs, self._masses()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a distribution is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a distribution is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, MixtureDistribution):
+            return NotImplemented
+        return self.atoms == other.atoms and self.segments == other.segments
+
+    def __hash__(self):
+        return hash((self.atoms, self.segments))
+
+    def __repr__(self):
+        return f"MixtureDistribution(atoms={self.atoms!r}, segments={self.segments!r})"
+
+
+def as_counts(nums: Sequence[int], dens: Sequence[int]) -> tuple[Sequence[int], int]:
+    """Masses ``nums[i]/dens[i]`` as integer counts over one common denominator.
+
+    Returns ``(counts, den)``; with every denominator 1 (unweighted or
+    integer-weighted data) the counts are ``nums`` itself.
+    """
+    if dens.count(1) == len(dens):
+        return nums, 1
+    den = math.lcm(*dens)
+    return [n * (den // k) for n, k in zip(nums, dens)], den
 
 
 def stored(fn):
@@ -273,47 +342,56 @@ def make_empirical(
 
     Duplicate values pool their weight into a single atom, keyed by the
     first of them seen (so ``-0.0`` or ``0.0``, whichever comes first).
-    Without weights every observation carries exactly 1/n; explicit
-    weights must be positive and are normalized exactly.
+    Without weights every observation counts 1; explicit weights must
+    be positive, and an ``int`` or `Fraction` weight is taken as it is.
+    The pooled counts go straight into the mixture's sorted columns,
+    which the mass total normalizes; no `Atom` is built.
     """
     values = list(values)
     if not values:
         raise EmptyDataError("no data values")
-    if weights is None:
-        ws = [Fraction(1, len(values))] * len(values)
-    else:
-        ws = list(weights)
-        if len(ws) != len(values):
-            raise BadWeightError(f"{len(values)} values but {len(ws)} weights")
-        ws = [_exact_positive(w, BadWeightError, "weight") for w in ws]
-    # pool integer numerators, each value's over the common denominator of
-    # its own weights: per row this is integer work on numbers that grow
-    # with the denominators of that value's weights only, not with every
-    # denominator in the column.  The mixture then normalizes once per
-    # distinct value (unweighted masses k/n already sum to 1).
-    nums: dict[float, int] = {}
+    ws = None if weights is None else list(weights)
+    if ws is not None and len(ws) != len(values):
+        raise BadWeightError(f"{len(values)} values but {len(ws)} weights")
+    if set(map(type, values)) != {float}:
+        values = [_finite_float(v, "data value") for v in values]
+    # Non-finite floats are refused by the mixture, once per distinct value.
+    # Pool integer numerators, each value's over the common denominator of
+    # its own weights, kept in ``dens`` where it is not 1: per row this is
+    # integer work on numbers that grow with the denominators of that
+    # value's weights only, not with every denominator in the column.  A
+    # dict keeps the first of equal keys, so -0.0 or 0.0 names the atom.
     dens: dict[float, int] = {}
-    for v, w in zip(values, ws):
-        v = _finite_float(v, "data value")
-        n, d = w.numerator, w.denominator
-        dv = dens.setdefault(v, d)
-        if d != dv:
-            lcm = math.lcm(dv, d)
-            nums[v] *= lcm // dv
-            n *= lcm // d
-            dens[v] = lcm
-        nums[v] = nums.get(v, 0) + n
-    # both dicts gained each key on the same row, so they iterate alike
-    return MixtureDistribution(
-        atoms=tuple(Atom(v, Fraction(n, d)) for (v, n), d in zip(nums.items(), dens.values()))
+    if ws is None:
+        nums = Counter(values)
+    else:
+        nums = {}
+        for v, w in zip(values, ws):
+            if type(w) not in (int, Fraction) or w.numerator <= 0:
+                w = _exact_positive(w, BadWeightError, "weight")
+            n, d = w.numerator, w.denominator
+            dv = dens.get(v, 1)
+            if d != dv:
+                lcm = math.lcm(dv, d)
+                nums[v] = nums.get(v, 0) * (lcm // dv)
+                n *= lcm // d
+                dens[v] = lcm
+            nums[v] = nums.get(v, 0) + n
+    locs = sorted(nums)
+    return MixtureDistribution._of_columns(
+        tuple(locs),
+        tuple(map(nums.__getitem__, locs)),
+        tuple(dens.get(x, 1) for x in locs),
+        (),
+        "data value",
     )
 
 
-def _sums(masses: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    # exact cumulative masses from the low end and, summed on their own
-    # rather than derived from those, from the high end
-    below = list(accumulate(masses, initial=Fraction(0)))
-    above = list(accumulate(reversed(masses), initial=Fraction(0)))
+def _sums(counts: Sequence[int], unit: Fraction) -> tuple[list[Fraction], list[Fraction]]:
+    # exact cumulative masses, ``unit`` per count, from the low end and,
+    # summed on their own rather than derived from those, from the high end
+    below = [c * unit for c in accumulate(counts, initial=0)]
+    above = [c * unit for c in accumulate(reversed(counts), initial=0)]
     above.reverse()
     return below, above
 
@@ -341,17 +419,21 @@ class _Tables(NamedTuple):
 
 @stored
 def _tables(d: MixtureDistribution) -> _Tables:
-    locs = tuple(Fraction(a.location) for a in d.atoms)
-    los = tuple(Fraction(s.lo) for s in d.segments)
-    his = tuple(Fraction(s.hi) for s in d.segments)
-    density = tuple(s.mass / (hi - lo) for s, lo, hi in zip(d.segments, los, his))
+    segs = d.segments
+    los = tuple(Fraction(s.lo) for s in segs)
+    his = tuple(Fraction(s.hi) for s in segs)
+    density = tuple(s.mass / (hi - lo) for s, lo, hi in zip(segs, los, his))
+    atoms, atoms_den = as_counts(d._nums, d._dens)
+    pieces, pieces_den = as_counts(
+        [s.mass.numerator for s in segs], [s.mass.denominator for s in segs]
+    )
     return _Tables(
-        locs,
+        tuple(map(Fraction, d._locs)),
         los,
         his,
         density,
-        *_sums([a.mass for a in d.atoms]),
-        *_sums([s.mass for s in d.segments]),
+        *_sums(atoms, 1 / (atoms_den * d._total)),
+        *_sums(pieces, Fraction(1, pieces_den)),
     )
 
 
@@ -397,9 +479,13 @@ def dist_fn(d: MixtureDistribution, flavor: DistFnFlavor, x: ExtendedReal) -> Pr
 
 def negate(d: MixtureDistribution) -> MixtureDistribution:
     """The distribution of -X.  Involutive: negate(negate(d)) == d."""
-    return MixtureDistribution(
-        atoms=tuple(Atom(-a.location, a.mass) for a in d.atoms),
-        segments=tuple(UniformSegment(-s.hi, -s.lo, s.mass) for s in d.segments),
+    # the columns reversed, and each segment at its unnormalized mass, so
+    # the total stays the same
+    return MixtureDistribution._of_columns(
+        tuple(-x for x in reversed(d._locs)),
+        d._nums[::-1],
+        d._dens[::-1],
+        [UniformSegment(-s.hi, -s.lo, s.mass * d._total) for s in d.segments],
     )
 
 
@@ -412,7 +498,9 @@ def essential_bounds(d: MixtureDistribution) -> tuple[float, float]:
 @stored
 def breakpoints(d: MixtureDistribution) -> tuple[float, ...]:
     """Sorted distinct support landmarks: atom locations and segment endpoints."""
-    pts = {a.location for a in d.atoms}
+    if not d.segments:
+        return d._locs
+    pts = set(d._locs)
     for s in d.segments:
         pts.add(s.lo)
         pts.add(s.hi)
@@ -429,7 +517,7 @@ def is_continuous(d: MixtureDistribution, flavor: DistFnFlavor) -> bool:
     """
     if not isinstance(flavor, DistFnFlavor):
         raise TypeError(f"flavor must be a DistFnFlavor, got {flavor!r}")
-    return not d.atoms
+    return not d._locs
 
 
 def is_strictly_monotone_on_hull(d: MixtureDistribution, flavor: DistFnFlavor) -> bool:
@@ -445,8 +533,7 @@ def is_strictly_monotone_on_hull(d: MixtureDistribution, flavor: DistFnFlavor) -
     if not isinstance(flavor, DistFnFlavor):
         raise TypeError(f"flavor must be a DistFnFlavor, got {flavor!r}")
     pieces = sorted(
-        [(a.location, a.location) for a in d.atoms]
-        + [(s.lo, s.hi) for s in d.segments]
+        [(x, x) for x in d._locs] + [(s.lo, s.hi) for s in d.segments]
     )
     reach = pieces[0][1]
     for lo, hi in pieces[1:]:
@@ -459,8 +546,8 @@ def is_strictly_monotone_on_hull(d: MixtureDistribution, flavor: DistFnFlavor) -
 def describe(d: MixtureDistribution) -> str:
     """Compact human-readable summary, e.g. ``atoms{0: 1/2} + U[1, 2]: 1/2``."""
     bits = []
-    if d.atoms:
-        inner = ", ".join(f"{a.location:g}: {a.mass}" for a in d.atoms)
+    if d._locs:
+        inner = ", ".join(f"{x:g}: {m}" for x, m in zip(d._locs, d._masses()))
         bits.append("atoms{" + inner + "}")
     bits.extend(f"U[{s.lo:g}, {s.hi:g}]: {s.mass}" for s in d.segments)
     return " + ".join(bits)

@@ -25,6 +25,7 @@ from .distributions import (
     ExtendedReal,
     MixtureDistribution,
     Probability,
+    as_counts,
     as_extended,
     as_level,
     stored,
@@ -90,10 +91,24 @@ class _Profile(NamedTuple):
 
 @stored
 def _profile(d: MixtureDistribution) -> _Profile:
+    """The profile of ``d``, built from its atom columns and segments.
+
+    With no segments (every empirical distribution) this is integer work
+    only: the landmarks are the atom location column itself, and the
+    running sums of the atoms' counts over one common denominator are
+    the CDF's numerators over their own total, so no mass is normalized,
+    no `Fraction` is built and ``d.atoms`` is never read.  With segments
+    the atoms' normalized masses and each gap's share of its segment's
+    mass go over the least common denominator of them all.
+    """
+    if not d.segments:
+        counts, _ = as_counts(d._nums, d._dens)
+        cdf = tuple(accumulate(counts))
+        return _Profile(d._locs, cdf[-1], cdf, cdf, {})
     # a dict keeps the first of two equal keys, so where -0.0 meets 0.0
     # the atom's zero wins over a segment end's, and an earlier segment
     # end over a later one
-    jump = {a.location: a.mass for a in d.atoms}
+    jump = dict(zip(d._locs, d._masses()))
     for s in d.segments:
         jump.setdefault(s.lo, 0)
         jump.setdefault(s.hi, 0)

@@ -434,10 +434,11 @@ def _property_results(
     return out
 
 
-def _symmetry_results(nd: MixtureDistribution, nd_grid: _Grid, at: _AtLevel) -> list[CheckResult]:
-    # nd is the negation of the mixture at.lq and at.rq come from, nd_grid its table
-    lq, rq = at.lq, at.rq
-    mirror = _candidates(nd, nd_grid, 1 - at.p)
+def _symmetry_results(
+    nd: MixtureDistribution, nd_grid: _Grid, p: Probability, lq: ExtendedReal, rq: ExtendedReal
+) -> list[CheckResult]:
+    # nd is the negation of the mixture lq and rq at level p come from, nd_grid its table
+    mirror = _candidates(nd, nd_grid, 1 - p)
     lq_mirror = -_scan(mirror, QuantileVariant.RQ_CLOSED_INF)
     rq_mirror = -_scan(mirror, QuantileVariant.LQ_CLOSED_INF)
     ok = lq == lq_mirror and rq == rq_mirror
@@ -559,8 +560,7 @@ def check_symmetry(d: MixtureDistribution, p: LevelLike) -> PropertyReport:
     """
     p = as_level(p)
     nd = negate(d)
-    at = _at_level(d, _candidate_table(d), p, left_quantile)
-    results = _symmetry_results(nd, _candidate_table(nd), at)
+    results = _symmetry_results(nd, _candidate_table(nd), p, left_quantile(d, p), right_quantile(d, p))
     return PropertyReport(describe(d), p, tuple(results))
 
 
@@ -775,7 +775,7 @@ def run_suite(
             at = _at_level(d, grid, p, lq_fn)
             results = (
                 _property_results(d, at, lq_fn, fixed)
-                + _symmetry_results(nd, nd_grid, at)
+                + _symmetry_results(nd, nd_grid, p, at.lq, at.rq)
                 + _variant_results(at, shapes_ok)
                 + _equivariance_results(d, p, images)
             )

@@ -1,13 +1,21 @@
 """Command-line behavior: outputs, formats, and the documented exit codes."""
 
+import csv
 import json
+import subprocess
+import sys
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from dualquant import rain_csv_path
-from dualquant.cli import main
+from dualquant.cli import _load_column, main
+
+GEN_CSV = Path(__file__).resolve().parents[1] / "tools" / "gen_csv.py"
 
 
 @pytest.fixture
@@ -491,3 +499,57 @@ class TestEntryPoints:
         assert res.exit_code == 0
         for sub in ("quantile", "symmetry", "transform", "verify"):
             assert sub in res.stdout
+
+
+def fraction_cdf(path, weighted):
+    """The distribution function of a generated file by the plain definition:
+    pool each value's exact weight under the first equal value seen, sort,
+    and add up the Fraction masses."""
+    pooled = {}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            x = float(row["value"])
+            pooled[x] = pooled.get(x, Fraction(0)) + Fraction(row["weight"] if weighted else 1)
+    xs = sorted(pooled)
+    total = sum(pooled.values())
+    return xs, list(accumulate(pooled[x] / total for x in xs))
+
+
+def bits(x):
+    return x if isinstance(x, str) else float(x).hex()
+
+
+class TestGeneratedData:
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_quantiles_match_a_fraction_reference_bit_for_bit(self, runner, tmp_path, weighted):
+        gen = [sys.executable, str(GEN_CSV), "--rows", "20000", "--seed", "5"]
+        gen += ["--weights"] if weighted else []
+        data = tmp_path / "data.csv"
+        data.write_text(subprocess.run(gen, capture_output=True, text=True, check=True).stdout)
+        xs, cum = fraction_cdf(data, weighted)
+        # F at one data value is a level with a flat stretch [lq, rq)
+        flat = cum[len(cum) // 3]
+        levels = [Fraction(t) for t in ("0", "0.001", "0.1", "1/3", "0.5", "0.9", "0.999", "1")]
+        levels.append(flat)
+        spec = ",".join(f"{p.numerator}/{p.denominator}" for p in levels)
+        want = [
+            (bits("-inf" if p == 0 else xs[bisect_left(cum, p)]),
+             bits("+inf" if p == 1 else xs[bisect_right(cum, p)]))
+            for p in levels
+        ]
+        assert want[-1][0] != want[-1][1]
+        args = ["quantile", str(data), "--column", "value", "--levels", spec, "--format", "json"]
+        res = runner.invoke(main, args + (["--weights", "weight"] if weighted else []))
+        assert res.exit_code == 0, res.stderr
+        got = [(bits(r["left"]), bits(r["right"])) for r in json.loads(res.stdout)["rows"]]
+        assert got == want
+        # the generator's own reference, which CI checks the 1e6-row file against
+        ref = subprocess.run(gen + ["--reference", spec], capture_output=True, text=True, check=True)
+        assert [(bits(r["left"]), bits(r["right"])) for r in json.loads(ref.stdout)["rows"]] == want
+
+    def test_digit_weight_cells_are_read_as_ints(self, tmp_path):
+        data = tmp_path / "w.csv"
+        data.write_text("value,weight\n1.0,3\n2.0,0.5\n3.0, 07 \n4.0,1/3\n")
+        _, ws, _ = _load_column(str(data), "value", "weight", ",", None)
+        assert ws == [3, Fraction(1, 2), 7, Fraction(1, 3)]
+        assert [type(w) for w in ws] == [int, Fraction, int, Fraction]

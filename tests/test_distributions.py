@@ -29,8 +29,10 @@ from dualquant import (
     is_strictly_monotone_on_hull,
     make_empirical,
     negate,
+    quantile_pair,
     random_mixture,
 )
+from dualquant import distributions
 from dualquant.distributions import MAX_EXPONENT, as_exact
 
 F_CLOSED = DistFnFlavor.LEFT_CLOSED
@@ -99,9 +101,9 @@ class TestLevelCoercion:
 
     @pytest.mark.parametrize("text", ["0", "7", "07", "+7", " 7 ", "1_000", "\u0663", "1E+\u0663"])
     def test_shortcuts_read_what_fraction_reads(self, text):
-        # the int shortcut for digit strings and the exponent bound's int
-        # reading both agree with Fraction on the text they see, refusals
-        # included: Fraction reads "1_000" from Python 3.11 on only
+        # the exponent bound's int reading agrees with Fraction on the
+        # text it sees, refusals included: Fraction reads "1_000" from
+        # Python 3.11 on only
         def reading(read):
             try:
                 return read(text)
@@ -458,6 +460,85 @@ class TestDistFnAgainstParts:
     @given(mixtures())
     def test_mixtures_with_touching_parts_and_signed_zeros(self, d):
         self.check(d)
+
+
+EMPIRICAL_KINDS = {
+    "unweighted": lambda vs: make_empirical(vs),
+    "int weights": lambda vs: make_empirical(vs, [3, 1, 4, 1, 5][: len(vs)]),
+    "exact weights": lambda vs: make_empirical(vs, ["1/3", 1, "0.25", Fraction(2, 7), 5][: len(vs)]),
+}
+
+
+class TestColumns:
+    """A mixture keeps its atoms as sorted columns and builds `Atom`s on read."""
+
+    def test_pooled_duplicates_equal_one_value(self):
+        assert make_empirical([1.0, 1.0]) == make_empirical([1.0])
+        assert hash(make_empirical([1.0, 1.0])) == hash(make_empirical([1.0]))
+        assert make_empirical([1.0, 1.0]) != make_empirical([1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            make_empirical([3.0, 1.0, 3.0, -2.5]),
+            make_empirical([3.0, 1.0, 3.0], [2, 5, 7]),
+            make_empirical([3.0, 1.0, 3.0], ["1/3", 5, Fraction(2, 7)]),
+            random_mixture(GeneratorConfig(seed=11)),
+        ],
+        ids=["unweighted", "int weights", "exact weights", "atoms and segments"],
+    )
+    def test_the_public_constructor_rebuilds_an_equal_mixture(self, d):
+        twin = MixtureDistribution(atoms=d.atoms, segments=d.segments)
+        assert twin == d and hash(twin) == hash(d)
+        assert sum(a.mass for a in d.atoms) + sum(s.mass for s in d.segments) == 1
+
+    @pytest.mark.parametrize("kind", EMPIRICAL_KINDS)
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_each_zero_keeps_its_own_sign(self, kind, zero):
+        d = EMPIRICAL_KINDS[kind]([2.0, zero, -zero, -1.0, zero])
+        sign = math.copysign(1.0, zero)
+        assert [math.copysign(1.0, a.location) for a in d.atoms if a.location == 0] == [sign]
+        assert math.copysign(1.0, breakpoints(d)[1]) == sign
+        pair = quantile_pair(d, dist_fn(d, F_CLOSED, 0.0))
+        assert math.copysign(1.0, pair.left) == sign
+
+    @pytest.mark.parametrize("kind", EMPIRICAL_KINDS)
+    def test_queries_build_no_atom(self, kind):
+        d = EMPIRICAL_KINDS[kind]([2.0, 1.0, 2.0, 0.5])
+        quantile_pair(d, "0.5")
+        dist_fn(d, F_OPEN, 1.5)
+        negate(d)
+        breakpoints(d)
+        describe(d)
+        assert "atoms" not in vars(d)
+        assert [a.location for a in d.atoms] == [0.5, 1.0, 2.0]
+        assert "atoms" in vars(d)
+
+    @pytest.mark.parametrize("kind", EMPIRICAL_KINDS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_data_are_refused(self, kind, bad):
+        with pytest.raises(BadValueError, match="data value must be finite"):
+            EMPIRICAL_KINDS[kind]([1.0, bad, 2.0])
+
+    def test_an_exact_weight_is_not_coerced_again(self, monkeypatch):
+        calls = []
+        real = distributions._exact_positive
+        monkeypatch.setattr(
+            distributions, "_exact_positive", lambda *args: calls.append(args[0]) or real(*args)
+        )
+        make_empirical([1.0, 2.0, 1.0], [3, Fraction(1, 2), 5])
+        assert calls == []
+        make_empirical([1.0, 2.0, 3.0], [3, "1/2", 0.25])
+        assert calls == ["1/2", 0.25]
+        with pytest.raises(BadWeightError, match="weight must be positive"):
+            make_empirical([1.0, 2.0], [3, Fraction(-1, 2)])
+
+    def test_a_distribution_is_immutable(self):
+        d = make_empirical([1.0, 2.0])
+        with pytest.raises(AttributeError):
+            d.segments = ()
+        with pytest.raises(AttributeError):
+            del d.segments
 
 
 class TestNegate:

@@ -215,7 +215,19 @@ class TestVerifierStoresNothing:
         quantile_by_definition(d, p, QuantileVariant.LQ_CLOSED_INF)
         check_quantile_properties(d, p)
         check_symmetry(d, p)
-        assert set(vars(d)) == {"atoms", "segments", "_tables", "_profile", "_breakpoints"}
+        assert set(vars(d)) == {
+            "_locs", "_nums", "_dens", "_total", "atoms", "segments",
+            "_tables", "_profile", "_breakpoints",
+        }
+
+
+class TestSymmetryCheck:
+    def test_builds_no_grid_of_the_checked_mixture(self):
+        # check S reads lq and rq of d and the oracle's grid of -d only
+        d = random_mixture(GeneratorConfig(seed=7))
+        report = check_symmetry(d, Fraction(1, 3))
+        assert report.passed and [r.check_id for r in report.results] == ["S"]
+        assert "_tables" not in vars(d)
 
 
 class TestPropertyChecks:
