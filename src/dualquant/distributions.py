@@ -344,8 +344,9 @@ def make_empirical(
     first of them seen (so ``-0.0`` or ``0.0``, whichever comes first).
     Without weights every observation counts 1; explicit weights must
     be positive, and an ``int`` or `Fraction` weight is taken as it is.
-    The pooled counts go straight into the mixture's sorted columns,
-    which the mass total normalizes; no `Atom` is built.
+    `_pool` pools them, the same routine that pools a pushforward's
+    images, and its counts go straight into the mixture's sorted
+    columns, which the mass total normalizes; no `Atom` is built.
     """
     values = list(values)
     if not values:
@@ -356,17 +357,30 @@ def make_empirical(
     if set(map(type, values)) != {float}:
         values = [_finite_float(v, "data value") for v in values]
     # Non-finite floats are refused by the mixture, once per distinct value.
+    return MixtureDistribution._of_columns(*_pool(values, ws), (), "data value")
+
+
+def _pool(
+    values: Sequence[float], weights: Optional[Sequence[Union[int, float, str, Fraction]]]
+) -> tuple[tuple[float, ...], tuple[int, ...], tuple[int, ...]]:
+    """Pool equal values' weights into sorted columns ``(locs, nums, dens)``.
+
+    ``locs`` holds the distinct values in order, and each one's total
+    weight is ``nums[i]/dens[i]``; without weights every value counts 1.
+    A weight that is not a positive ``int`` or `Fraction` goes through
+    `_exact_positive`.
+    """
     # Pool integer numerators, each value's over the common denominator of
     # its own weights, kept in ``dens`` where it is not 1: per row this is
     # integer work on numbers that grow with the denominators of that
     # value's weights only, not with every denominator in the column.  A
     # dict keeps the first of equal keys, so -0.0 or 0.0 names the atom.
     dens: dict[float, int] = {}
-    if ws is None:
+    if weights is None:
         nums = Counter(values)
     else:
         nums = {}
-        for v, w in zip(values, ws):
+        for v, w in zip(values, weights):
             if type(w) not in (int, Fraction) or w.numerator <= 0:
                 w = _exact_positive(w, BadWeightError, "weight")
             n, d = w.numerator, w.denominator
@@ -378,13 +392,7 @@ def make_empirical(
                 dens[v] = lcm
             nums[v] = nums.get(v, 0) + n
     locs = sorted(nums)
-    return MixtureDistribution._of_columns(
-        tuple(locs),
-        tuple(map(nums.__getitem__, locs)),
-        tuple(dens.get(x, 1) for x in locs),
-        (),
-        "data value",
-    )
+    return tuple(locs), tuple(map(nums.__getitem__, locs)), tuple(dens.get(x, 1) for x in locs)
 
 
 def _sums(counts: Sequence[int], unit: Fraction) -> tuple[list[Fraction], list[Fraction]]:

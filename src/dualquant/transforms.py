@@ -22,10 +22,10 @@ from typing import Union
 from .distributions import (
     NEG_INF,
     POS_INF,
-    Atom,
     ExtendedReal,
     MixtureDistribution,
     UniformSegment,
+    _pool,
     as_extended,
     as_level,
     essential_bounds,
@@ -289,76 +289,61 @@ def apply_map(m: MonotoneMap, x: ExtendedReal) -> ExtendedReal:
     raise TypeError(f"not a monotone map: {m!r}")
 
 
-def _mixture_of_images(atoms: list, segments: list) -> MixtureDistribution:
-    # ``atoms`` holds (image, mass) pairs and ``segments`` (image of lo,
-    # image of hi, mass) triples.  Images that collide pool their mass, in
-    # order, so the first of -0.0 and 0.0 names the atom; a segment whose
-    # ends meet (a flat piece, or an interval narrower than float
-    # resolution) becomes an atom.
-    segs = []
-    collapsed = []
-    for y1, y2, mass in segments:
-        lo, hi = (y1, y2) if y1 <= y2 else (y2, y1)
-        if lo == hi:
-            collapsed.append((lo, mass))
-        else:
-            segs.append((lo, hi, mass))
-    pool: dict[float, Fraction] = {}
-    for y, mass in chain(atoms, collapsed):
-        pool[y] = pool.get(y, 0) + mass
-    # float overflow is the one way a finite point gets a non-finite image
-    if not all(map(math.isfinite, chain(pool, (y for lo, hi, _ in segs for y in (lo, hi))))):
-        raise MapDomainError("the map sends a finite value past the float range")
-    return MixtureDistribution(
-        atoms=tuple(Atom(y, w) for y, w in pool.items()),
-        segments=tuple(UniformSegment(lo, hi, w) for lo, hi, w in segs),
-    )
-
-
-def _push_smooth(d: MixtureDistribution, m: SmoothMonotoneMap) -> MixtureDistribution:
-    # the curved kinds keep exactness only for purely atomic distributions
-    if d.segments:
-        raise UnsupportedPushforwardError(
-            f"{m.kind.value} pushforward needs an atom-only distribution; "
-            "a uniform segment's image would not be uniform"
-        )
-    return _mixture_of_images([(_apply_smooth(m, a.location), a.mass) for a in d.atoms], [])
-
-
-def _push_piecewise(d: MixtureDistribution, m: PiecewiseMonotoneMap) -> MixtureDistribution:
-    parts = []
-    bs = m.breakpoints
-    for s in d.segments:
-        # split at the map's interior breakpoints; each part rides one piece
-        cuts = [s.lo] + [b for b in bs if s.lo < b < s.hi] + [s.hi]
-        for u, v in zip(cuts, cuts[1:]):
-            part = s.mass * (Fraction(v) - Fraction(u)) / s.width
-            piece = m.pieces[bisect_right(bs, u)]  # owner of the open interval (u, v)
-            if piece.slope == 0:  # the intercept exactly, signed zero included
-                parts.append((piece.intercept, piece.intercept, part))
-            else:
-                parts.append((piece.value(u), piece.value(v), part))
-    return _mixture_of_images(
-        [(_apply_piecewise(m, a.location), a.mass) for a in d.atoms], parts
-    )
-
-
 def pushforward(d: MixtureDistribution, m: MonotoneMap) -> MixtureDistribution:
     """Exact distribution of m(X).
 
-    Atoms map pointwise (images that collide pool their mass); uniform
-    segments split at the map's breakpoints with mass divided in exact
-    proportion, then ride their covering affine piece, flipping
-    orientation under a negative slope and collapsing to an atom under
-    slope zero.  The curved smooth kinds (pow10neg, neglog10) accept
-    only atom-only distributions, since they would bend a uniform
-    segment into a non-uniform law this model cannot represent.
+    Atoms map pointwise; uniform segments split at the map's breakpoints
+    with mass divided in exact proportion, then ride their covering
+    affine piece, flipping orientation under a negative slope and
+    collapsing to an atom under slope zero (or when the image is
+    narrower than float resolution).  The curved smooth kinds (pow10neg,
+    neglog10) accept only atom-only distributions, since they would bend
+    a uniform segment into a non-uniform law this model cannot represent.
+
+    The image is built the way `make_empirical` builds data: the mapped
+    location column, then the collapsed parts, carrying their masses
+    unnormalized, are pooled by `_pool`, so colliding images add up and
+    the first of ``-0.0`` and ``0.0`` names the atom.  No `Atom` is built.
     """
+    # each mass as the columns store it, and each segment part rescaled by
+    # the total, as `negate` does, so the image has the same total
+    ws = [n if k == 1 else Fraction(n, k) for n, k in zip(d._nums, d._dens)]
+    segs = []
     if isinstance(m, SmoothMonotoneMap):
-        return _push_smooth(d, m)
-    if isinstance(m, PiecewiseMonotoneMap):
-        return _push_piecewise(d, m)
-    raise TypeError(f"not a monotone map: {m!r}")
+        # the curved kinds keep exactness only for purely atomic distributions
+        if d.segments:
+            raise UnsupportedPushforwardError(
+                f"{m.kind.value} pushforward needs an atom-only distribution; "
+                "a uniform segment's image would not be uniform"
+            )
+        ys = [_apply_smooth(m, x) for x in d._locs]
+    elif isinstance(m, PiecewiseMonotoneMap):
+        ys = [_apply_piecewise(m, x) for x in d._locs]
+        bs = m.breakpoints
+        for s in d.segments:
+            # split at the map's interior breakpoints; each part rides one piece
+            cuts = [s.lo] + [b for b in bs if s.lo < b < s.hi] + [s.hi]
+            mass = s.mass * d._total / s.width
+            for u, v in zip(cuts, cuts[1:]):
+                part = mass * (Fraction(v) - Fraction(u))
+                piece = m.pieces[bisect_right(bs, u)]  # owner of the open interval (u, v)
+                if piece.slope == 0:  # the intercept exactly, signed zero included
+                    lo = hi = piece.intercept
+                else:
+                    lo, hi = sorted((piece.value(u), piece.value(v)))
+                if lo == hi:
+                    ys.append(lo)
+                    ws.append(part)
+                else:
+                    segs.append((lo, hi, part))
+    else:
+        raise TypeError(f"not a monotone map: {m!r}")
+    # float overflow is the one way a finite point gets a non-finite image
+    if not all(map(math.isfinite, chain(ys, (y for lo, hi, _ in segs for y in (lo, hi))))):
+        raise MapDomainError("the map sends a finite value past the float range")
+    return MixtureDistribution._of_columns(
+        *_pool(ys, ws), [UniformSegment(lo, hi, w) for lo, hi, w in segs]
+    )
 
 
 def equivariant_quantile(
@@ -423,7 +408,8 @@ def check_transport(
     if direct == routed or (
         finite
         and not (isinstance(direct, float) and math.isinf(direct))
-        and not any(direct == a.location for a in push.atoms)
+        # not at an atom: no location of the image's sorted column equals it
+        and bisect_left(push._locs, direct) == bisect_right(push._locs, direct)
         and abs(float(direct) - float(routed)) <= 1e-12
     ):
         return direct, Transport.EQUAL

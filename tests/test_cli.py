@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 from bisect import bisect_left, bisect_right
@@ -546,6 +547,31 @@ class TestGeneratedData:
         # the generator's own reference, which CI checks the 1e6-row file against
         ref = subprocess.run(gen + ["--reference", spec], capture_output=True, text=True, check=True)
         assert [(bits(r["left"]), bits(r["right"])) for r in json.loads(ref.stdout)["rows"]] == want
+
+    def test_transform_flips_the_reference_bit_for_bit(self, runner, tmp_path):
+        gen = [sys.executable, str(GEN_CSV), "--rows", "20000", "--seed", "5", "--weights"]
+        data = tmp_path / "data.csv"
+        data.write_text(subprocess.run(gen, capture_output=True, text=True, check=True).stdout)
+        xs, cum = fraction_cdf(data, True)
+        levels = [Fraction(t) for t in ("0", "0.001", "0.1", "1/3", "0.5", "0.9", "0.999", "1")]
+        levels.append(1 - cum[len(cum) // 3])  # 1 - p is a level with a flat stretch
+        spec = ",".join(f"{p.numerator}/{p.denominator}" for p in levels)
+        lq = [-math.inf if p == 1 else xs[bisect_left(cum, 1 - p)] for p in levels]
+        # the right quantile of -3x + 0.5 at p is the image of lq(1 - p)
+        want = [(bits(-3.0 * x + 0.5), "yes") for x in lq]
+        args = ["transform", str(data), "--column", "value", "--weights", "weight", "--levels", spec,
+                "--map", '{"kind":"affine","a":-3,"b":0.5}', "--side", "right"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.stderr
+        table = [line.split() for line in res.stdout.splitlines()[1:]]
+        assert [(bits(float(row[1])), row[3]) for row in table] == want
+
+    @pytest.mark.parametrize("levels", ["x", "50%", "1/0"])
+    def test_generator_refuses_a_bad_reference_level(self, levels):
+        gen = [sys.executable, str(GEN_CSV), "--rows", "3", "--reference", levels]
+        res = subprocess.run(gen, capture_output=True, text=True)
+        assert res.returncode == 2
+        assert res.stderr.startswith("usage:") and "Traceback" not in res.stderr
 
     def test_digit_weight_cells_are_read_as_ints(self, tmp_path):
         data = tmp_path / "w.csv"

@@ -14,11 +14,17 @@ from dualquant import (
     Atom,
     BadValueError,
     BadWeightError,
+    Continuity,
+    Direction,
     DistFnFlavor,
     EmptyDataError,
     GeneratorConfig,
+    MapPiece,
     MixtureDistribution,
+    PiecewiseMonotoneMap,
+    QuantileSide,
     UniformSegment,
+    affine_map,
     as_extended,
     as_level,
     breakpoints,
@@ -29,11 +35,13 @@ from dualquant import (
     is_strictly_monotone_on_hull,
     make_empirical,
     negate,
+    pushforward,
     quantile_pair,
     random_mixture,
 )
 from dualquant import distributions
 from dualquant.distributions import MAX_EXPONENT, as_exact
+from dualquant.transforms import Transport, check_transport
 
 F_CLOSED = DistFnFlavor.LEFT_CLOSED
 F_OPEN = DistFnFlavor.LEFT_OPEN
@@ -510,7 +518,21 @@ class TestColumns:
         negate(d)
         breakpoints(d)
         describe(d)
-        assert "atoms" not in vars(d)
+        pushforward(d, affine_map(-3.0, 0.5))
+        flat = PiecewiseMonotoneMap(
+            (
+                MapPiece(NEG_INF, 0.0, 1.0, 0.0),
+                MapPiece(0.0, 1.5, 0.0, 0.0),
+                MapPiece(1.5, POS_INF, 1.0, -1.5),
+            ),
+            Direction.NON_DECREASING,
+            (Continuity.LEFT, Continuity.LEFT),
+        )
+        push = pushforward(d, flat)  # 0.5 and 1.0 collide at 0.0
+        # a routed value one step off an atom of the image must match it bit for bit
+        direct, verdict = check_transport(push, "0.1", QuantileSide.LEFT, math.nextafter(0.0, 1.0))
+        assert (direct, verdict) == (0.0, Transport.UNEQUAL)
+        assert "atoms" not in vars(d) and "atoms" not in vars(push)
         assert [a.location for a in d.atoms] == [0.5, 1.0, 2.0]
         assert "atoms" in vars(d)
 

@@ -228,6 +228,37 @@ class TestPushforward:
             (5.0, Fraction(1, 2)),
             (9.5, Fraction(1, 2)),
         ]
+        # Weights over different denominators pool like data.  0.25, 0.75 and
+        # the part [0.5, 1] of the segment land on the flat piece's 0.0 after
+        # the image of the zero atom, whose sign names the pooled atom.
+        m = PiecewiseMonotoneMap(
+            pieces=(
+                MapPiece(-INF, 0.0, 1.0, -0.0),
+                MapPiece(0.0, 1.0, 0.0, 0.0),
+                MapPiece(1.0, INF, 1.0, -1.0),
+            ),
+            direction=ND,
+            continuity=(CL, CL),
+        )
+        weights = [Fraction(1, 3), Fraction(2, 7), 5, Fraction(1, 3), 2]
+        for zero in (-0.0, 0.0):
+            values = [0.25, zero, 2.0, 0.75, 2.0]
+            segment = UniformSegment(0.5, 1.5, Fraction(1, 3))
+            for d in (
+                make_empirical(values, weights),
+                MixtureDistribution(map(Atom, values[:4], weights[:4]), [segment]),
+            ):
+                out = pushforward(d, m)
+                # the plain definition: a Fraction sum of the masses per image
+                want = {}
+                for a in d.atoms:
+                    y = apply_map(m, a.location)
+                    want[y] = want.get(y, 0) + a.mass
+                if d.segments:
+                    want[0.0] += d.segments[0].mass / 2
+                    assert out.segments == (UniformSegment(0.0, 0.5, d.segments[0].mass / 2),)
+                assert [(a.location, a.mass) for a in out.atoms] == sorted(want.items())
+                assert math.copysign(1.0, out.atoms[0].location) == math.copysign(1.0, zero)
 
     def test_segment_splits_at_interior_breakpoints(self):
         d, m, _, _, _ = equivariance_counterexample()

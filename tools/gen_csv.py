@@ -62,7 +62,10 @@ def main(argv=None) -> int:
     if args.rows < 1:
         parser.error("--rows must be at least 1")
     if args.reference is not None:
-        levels = [Fraction(tok.strip()) for tok in args.reference.split(",")]
+        try:
+            levels = [Fraction(tok.strip()) for tok in args.reference.split(",")]
+        except (ValueError, ZeroDivisionError):
+            parser.error(f"--reference levels must be numbers, got {args.reference!r}")
         if not all(0 <= p <= 1 for p in levels):
             parser.error("--reference levels must lie in [0, 1]")
         rows_out = reference(args.rows, args.seed, args.weights, levels)
