@@ -117,8 +117,9 @@ class PiecewiseMonotoneMap:
     Pieces must tile (-inf, +inf) contiguously; each interior
     breakpoint carries a Continuity flag naming the piece whose formula
     holds AT the breakpoint.  The flags decide one-sided continuity,
-    which in turn decides which equivariance identities are available;
-    both answers are worked out once, at construction.
+    which in turn decides which equivariance identities are available.
+    The breakpoints (the pieces' interior ends) and both answers are
+    worked out once, at construction.
     """
 
     pieces: tuple[MapPiece, ...]
@@ -163,12 +164,9 @@ class PiecewiseMonotoneMap:
                 owners.add(f)
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "continuity", cont)
+        object.__setattr__(self, "breakpoints", tuple(p.hi for p in pieces[:-1]))
         object.__setattr__(self, "_left_continuous", owners <= {Continuity.LEFT})
         object.__setattr__(self, "_right_continuous", owners <= {Continuity.RIGHT})
-
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        return tuple(p.hi for p in self.pieces[:-1])
 
     def is_left_continuous(self) -> bool:
         return self._left_continuous
@@ -271,12 +269,10 @@ def _apply_piecewise(m: PiecewiseMonotoneMap, x: ExtendedReal) -> ExtendedReal:
         rising_here = (piece.slope > 0) == (x > 0)
         return POS_INF if rising_here else NEG_INF
     bs = m.breakpoints
-    i = bisect_left(bs, x)
-    if i < len(bs) and bs[i] == x:
-        piece = m.pieces[i] if m.continuity[i] is Continuity.LEFT else m.pieces[i + 1]
-    else:
-        piece = m.pieces[bisect_right(bs, x)]
-    return piece.value(x)
+    i = bisect_left(bs, x)  # x lies in piece i, or at its upper end bs[i]
+    if i < len(bs) and bs[i] == x and m.continuity[i] is Continuity.RIGHT:
+        i += 1
+    return m.pieces[i].value(x)
 
 
 def apply_map(m: MonotoneMap, x: ExtendedReal) -> ExtendedReal:
@@ -321,12 +317,12 @@ def pushforward(d: MixtureDistribution, m: MonotoneMap) -> MixtureDistribution:
         ys = [_apply_piecewise(m, x) for x in d._locs]
         bs = m.breakpoints
         for s in d.segments:
-            # split at the map's interior breakpoints; each part rides one piece
-            cuts = [s.lo] + [b for b in bs if s.lo < b < s.hi] + [s.hi]
+            # split at the map's breakpoints inside (lo, hi); part k rides piece i + k
+            i = bisect_right(bs, s.lo)
+            cuts = [s.lo, *bs[i : bisect_left(bs, s.hi)], s.hi]
             mass = s.mass * d._total / s.width
-            for u, v in zip(cuts, cuts[1:]):
+            for u, v, piece in zip(cuts, cuts[1:], m.pieces[i:]):
                 part = mass * (Fraction(v) - Fraction(u))
-                piece = m.pieces[bisect_right(bs, u)]  # owner of the open interval (u, v)
                 if piece.slope == 0:  # the intercept exactly, signed zero included
                     lo = hi = piece.intercept
                 else:

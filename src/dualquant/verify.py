@@ -140,7 +140,9 @@ class _Grid(NamedTuple):
     index 2k+1.  ``crossings`` holds, for each breakpoint interval (a, b)
     that carries mass, ``(index of a, a, P(X<=a), P(X<b), (b-a)/gain)``,
     gain being the mass of (a, b): enough to place the point where the
-    affine distribution function crosses any level.
+    affine distribution function crosses any level.  `_candidates` reads
+    both at each level; `_shape_witnesses` reads the jumps and gaps off
+    them once per mixture.
     """
 
     cells: tuple[tuple[Fraction, Probability, Probability], ...]
@@ -297,8 +299,8 @@ class _LevelFree(NamedTuple):
 
 
 def _level_free_checks(d: MixtureDistribution, lq_fn: QuantileFn) -> _LevelFree:
-    lq1 = lq_fn(d, Fraction(1))
-    rq0 = right_quantile(d, Fraction(0))
+    grid = {q: (lq_fn(d, q), right_quantile(d, q)) for q in (Fraction(k, 10) for k in range(11))}
+    lq1, rq0 = grid[1][0], grid[0][1]
     finite = not (isinstance(lq1, float) and math.isinf(lq1)) and not (
         isinstance(rq0, float) and math.isinf(rq0)
     )
@@ -313,9 +315,6 @@ def _level_free_checks(d: MixtureDistribution, lq_fn: QuantileFn) -> _LevelFree:
         f"lq(1)={format_extended(lq1)}, rq(0)={format_extended(rq0)} finite and carry mass "
         f"{format_extended(closed_mass) if closed_mass is not None else '?'}",
     )
-
-    tenths = [Fraction(k, 10) for k in range(11)]
-    grid = {q: (lq_fn(d, q), right_quantile(d, q)) for q in tenths}
 
     bad_atoms = [
         a.location
@@ -452,18 +451,16 @@ def _symmetry_results(
     ]
 
 
-def _shape_witnesses(d: MixtureDistribution) -> tuple[bool, bool]:
+def _shape_witnesses(d: MixtureDistribution, grid: _Grid) -> tuple[bool, bool]:
     # flavor independence of the shape predicates, against structure-free
-    # oracles: a jump is a gap between P(X<=b) and P(X<b) at a breakpoint,
-    # a monotonicity flat is a massless open interval between breakpoints
-    bps = breakpoints(d)
-    has_jump = any(
-        dist_fn(d, DistFnFlavor.LEFT_CLOSED, b) != dist_fn(d, DistFnFlavor.LEFT_OPEN, b)
-        for b in bps
-    )
+    # oracles read off d's grid: a jump is a gap between P(X<=b) and P(X<b)
+    # at a breakpoint, a monotonicity flat is a massless open interval
+    # between breakpoints, one that the grid's crossings leave out
+    at_bps = grid.cells[1::2]
+    has_jump = any(fc != fo for _, fc, fo in at_bps)
     cont_answers = {is_continuous(d, fl) for fl in DistFnFlavor}
     ok_cont = cont_answers == {not has_jump}
-    has_gap = any(_interval_mass(d, a, b) == 0 for a, b in zip(bps, bps[1:]))
+    has_gap = len(grid.crossings) < len(at_bps) - 1
     mono_answers = {is_strictly_monotone_on_hull(d, fl) for fl in DistFnFlavor}
     ok_mono = mono_answers == {not has_gap}
     return ok_cont, ok_mono
@@ -769,7 +766,7 @@ def run_suite(
         nd = negate(d)
         grid, nd_grid = _candidate_table(d), _candidate_table(nd)
         fixed = _level_free_checks(d, lq_fn)
-        shapes_ok = _shape_witnesses(d)
+        shapes_ok = _shape_witnesses(d, grid)
         images = _pushforwards(d, map_list)
         for p in levels:
             at = _at_level(d, grid, p, lq_fn)

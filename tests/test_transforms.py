@@ -2,7 +2,8 @@
 
 import json
 import math
-from dataclasses import fields
+import random
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from dualquant import (
     Continuity,
     ContinuityMismatchError,
     Direction,
+    GeneratorConfig,
     MapDomainError,
     MapPiece,
     MapSpecError,
@@ -36,6 +38,7 @@ from dualquant import (
     pow10_neg_map,
     pushforward,
     quantile_at,
+    random_mixture,
     right_quantile,
     stock_maps,
 )
@@ -485,3 +488,146 @@ class TestMapPieceCoefficients:
         piece = MapPiece(NEG_INF, POS_INF, slope, intercept)
         x = Fraction(1, 3)
         assert piece.value(x) == Fraction(slope) * x + Fraction(intercept)
+
+
+def spec_bound(v):
+    return "inf" if v == INF else "-inf" if v == -INF else v
+
+
+def reference_spec(m):
+    """The documented spec of a piecewise map, read off its pieces and flags."""
+    if len(m.pieces) == 1 and m.pieces[0].slope != 0:
+        return {"kind": "affine", "a": m.pieces[0].slope, "b": m.pieces[0].intercept}
+    return {
+        "direction": m.direction.value,
+        "breakpoints": [
+            {"at": p.hi, "continuity": f.value} for p, f in zip(m.pieces, m.continuity)
+        ],
+        "pieces": [
+            {"lo": spec_bound(p.lo), "hi": spec_bound(p.hi), "slope": p.slope, "intercept": p.intercept}
+            for p in m.pieces
+        ],
+    }
+
+
+FLAT_SPEC = {
+    "direction": "non_increasing",
+    "breakpoints": [{"at": -1.5, "continuity": "right"}, {"at": 2.0, "continuity": "left"}],
+    "pieces": [
+        {"lo": "-inf", "hi": -1.5, "slope": -2.0, "intercept": 0.0},
+        {"lo": -1.5, "hi": 2.0, "slope": 0.0, "intercept": 1.0},
+        {"lo": 2.0, "hi": "inf", "slope": -1.0, "intercept": -4.0},
+    ],
+}
+PARTITION_MAPS = {
+    **{name: m for name, m in STOCK.items() if isinstance(m, PiecewiseMonotoneMap)},
+    "from_spec": map_from_spec(FLAT_SPEC),
+    "replaced": replace(STOCK["nd_flat_mid"], continuity=(CR, CL)),
+}
+
+
+class TestStoredPartition:
+    """A piecewise map works out its breakpoints once, at construction."""
+
+    @pytest.mark.parametrize("name", sorted(PARTITION_MAPS))
+    def test_breakpoints_are_stored_and_frozen(self, name):
+        m = PARTITION_MAPS[name]
+        assert m.breakpoints is m.breakpoints
+        assert m.breakpoints == tuple(p.hi for p in m.pieces[:-1])
+        with pytest.raises(FrozenInstanceError):
+            m.breakpoints = ()
+        assert map_to_spec(m) == reference_spec(m)
+
+    def test_spec_round_trips_unchanged(self):
+        assert map_to_spec(map_from_spec(FLAT_SPEC)) == FLAT_SPEC
+
+
+LATTICE = [k / 4 for k in range(-16, 17)] + [-0.0]
+
+
+def random_piecewise_maps(draws=3000, seed=13):
+    """The valid maps among seeded draws: 0-4 breakpoints from the quarter
+    lattice on [-4, 4] and -0.0, each with a random flag, slopes from
+    {0, 0.5, 1, 3} signed by the direction, intercepts from
+    {-0.0, 0.0, 1.0, -2.5}; draws that tile badly or jump the wrong way
+    are dropped."""
+    rng = random.Random(seed)
+    maps = []
+    for _ in range(draws):
+        direction = rng.choice((ND, NI))
+        sign = 1.0 if direction is ND else -1.0
+        ends = sorted(rng.sample(LATTICE, rng.randint(0, 4)))
+        bounds = [-INF, *ends, INF]
+        flags = tuple(rng.choice((CL, CR)) for _ in ends)
+        try:
+            pieces = tuple(
+                MapPiece(
+                    lo,
+                    hi,
+                    sign * rng.choice((0.0, 0.5, 1.0, 3.0)),
+                    rng.choice((-0.0, 0.0, 1.0, -2.5)),
+                )
+                for lo, hi in zip(bounds, bounds[1:])
+            )
+            maps.append(PiecewiseMonotoneMap(pieces, direction, flags))
+        except MapSpecError:
+            pass
+    return maps
+
+
+def owner_by_scan(m, x):
+    """The documented rule by a linear scan: the piece whose open interval
+    holds x; at a breakpoint, the piece its flag names; at +/-inf, the
+    tail piece's limit."""
+    if x in (-INF, INF):
+        tail = m.pieces[-1] if x > 0 else m.pieces[0]
+        if tail.slope == 0:
+            return tail.intercept
+        return INF if (tail.slope > 0) == (x > 0) else -INF
+    for k, piece in enumerate(m.pieces):
+        if piece.lo < x < piece.hi:
+            return piece.value(x)
+        if x == piece.hi:
+            return (piece if m.continuity[k] is CL else m.pieces[k + 1]).value(x)
+    raise AssertionError(f"no piece owns {x!r}")
+
+
+def same_value(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+RANDOM_MAPS = random_piecewise_maps()
+
+
+class TestPieceOwnershipOnRandomMaps:
+    def test_draws_cover_the_shapes(self):
+        assert 1000 <= len(RANDOM_MAPS) <= 1500
+        assert {len(m.pieces) for m in RANDOM_MAPS} == {1, 2, 3, 4, 5}
+        assert any(not m.is_left_continuous() for m in RANDOM_MAPS)
+        assert any(not m.is_right_continuous() for m in RANDOM_MAPS)
+
+    def test_apply_map_follows_the_documented_rule(self):
+        extra = [-INF, INF, 1 / 3, -7 / 5, Fraction(1, 3), Fraction(-7, 5)]
+        for m in RANDOM_MAPS:
+            for x in [*LATTICE, *m.breakpoints, *extra]:
+                got, want = apply_map(m, x), owner_by_scan(m, x)
+                assert same_value(got, want), (map_to_spec(m), x, got, want)
+
+    def test_transported_quantiles_match_the_pushforward(self):
+        verdicts = dict.fromkeys(Transport, 0)
+        refused = 0
+        levels = [Fraction(k, 8) for k in range(9)]
+        for i, m in enumerate(RANDOM_MAPS):
+            d = random_mixture(GeneratorConfig(seed=i))
+            push = pushforward(d, m)
+            for side in (LEFT, RIGHT):
+                for p in levels:
+                    try:
+                        routed = equivariant_quantile(d, m, p, side)
+                    except ContinuityMismatchError:
+                        refused += 1
+                        continue
+                    direct, verdict = check_transport(push, p, side, routed)
+                    assert verdict is not Transport.UNEQUAL, (map_to_spec(m), i, p, side, direct, routed)
+                    verdicts[verdict] += 1
+        assert verdicts[Transport.EQUAL] and verdicts[Transport.NOT_CLAIMED] and refused

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import dualquant.verify
 from dualquant import (
     Atom,
     CheckResult,
@@ -41,6 +42,7 @@ from dualquant.verify import (
     _candidates,
     _equivariance_results,
     _pushforwards,
+    _shape_witnesses,
     first_failure,
     report_to_dict,
     reports_to_json,
@@ -483,3 +485,77 @@ class TestLevelFreeChecksOncePerMixture:
                     assert by_id["S"] == alone, (seed + i, p)
                     (fresh,) = _equivariance_results(d, p, _pushforwards(d, stock_maps()))
                     assert by_id["E"] == fresh, (seed + i, p)
+
+
+def reference_shape_witnesses(d):
+    """Check V's shape witnesses from `dist_fn` directly: a jump where
+    P(X<=b) != P(X<b) at a breakpoint b, a gap where P(a < X < b) is 0
+    between consecutive breakpoints."""
+    bps = breakpoints(d)
+    has_jump = any(
+        dist_fn(d, DistFnFlavor.LEFT_CLOSED, b) != dist_fn(d, DistFnFlavor.LEFT_OPEN, b)
+        for b in bps
+    )
+    has_gap = any(
+        dist_fn(d, DistFnFlavor.LEFT_OPEN, b) - dist_fn(d, DistFnFlavor.LEFT_CLOSED, a) == 0
+        for a, b in zip(bps, bps[1:])
+    )
+    ok_cont = {dualquant.verify.is_continuous(d, fl) for fl in DistFnFlavor} == {not has_jump}
+    ok_mono = {
+        dualquant.verify.is_strictly_monotone_on_hull(d, fl) for fl in DistFnFlavor
+    } == {not has_gap}
+    return ok_cont, ok_mono
+
+
+WITNESS_CASES = [
+    # touching segments
+    MixtureDistribution(segments=(SEG(0.0, 1.0, Fraction(1, 3)), SEG(1.0, 2.5, Fraction(2, 3)))),
+    # a gapped mixture
+    MixtureDistribution(segments=(SEG(0.0, 1.0, Fraction(1, 2)), SEG(2.0, 3.0, Fraction(1, 2)))),
+    # a single atom
+    MixtureDistribution(atoms=(Atom(-0.0, Fraction(1)),)),
+    # an atom on a segment's end
+    MixtureDistribution(atoms=(Atom(1.0, Fraction(1, 4)),), segments=(SEG(0.0, 1.0, Fraction(3, 4)),)),
+]
+
+
+def witness_subjects():
+    for seed in range(200):
+        d = random_mixture(GeneratorConfig(seed=seed))
+        yield d
+        yield negate(d)
+    yield from WITNESS_CASES
+
+
+class TestShapeWitnesses:
+    """Check V reads jumps and gaps off the grid `run_suite` already holds."""
+
+    def test_reads_the_grid_without_calling_dist_fn(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return dist_fn(*args)
+
+        for d in witness_subjects():
+            grid = _candidate_table(d)
+            monkeypatch.setattr(dualquant.verify, "dist_fn", counting)
+            _shape_witnesses(d, grid)
+            monkeypatch.undo()
+        assert calls == []
+
+    def test_matches_the_dist_fn_definitions(self):
+        for d in witness_subjects():
+            assert _shape_witnesses(d, _candidate_table(d)) == reference_shape_witnesses(d), d
+
+    def test_finds_the_same_jumps_and_gaps(self, monkeypatch):
+        # with both shape predicates answering True, each flag of the pair
+        # reads "no jump" and "no gap", so the pair shows the witnesses
+        monkeypatch.setattr(dualquant.verify, "is_continuous", lambda d, fl: True)
+        monkeypatch.setattr(dualquant.verify, "is_strictly_monotone_on_hull", lambda d, fl: True)
+        seen = set()
+        for d in witness_subjects():
+            pair = _shape_witnesses(d, _candidate_table(d))
+            assert pair == reference_shape_witnesses(d), d
+            seen.add(pair)
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
