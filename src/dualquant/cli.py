@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import sys
 import time
 from bisect import bisect_left

@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .distributions import (
     NEG_INF,
@@ -99,11 +99,13 @@ class QuantileVariant(Enum):
     RQ_CLOSED_SUP = "rq_closed_sup"  # sup {x : P(X<=x) <= p}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     check_id: str
     passed: bool
     details: str
+    checked: int = 1  # identities verified at this level; a vacuous one counts
+    skipped: int = 0  # identities not claimed at this level
 
 
 @dataclass(frozen=True)
@@ -388,21 +390,21 @@ def _property_results(
     )
 
     if p == 0 or p == 1:
-        out.append(CheckResult("g", True, "skipped at the endpoint levels (claim is for 0<p<1)"))
+        g = CheckResult(
+            "g", True, "skipped at the endpoint levels (claim is for 0<p<1)", checked=0, skipped=1
+        )
     elif lq < rq:
         gc_rq = dist_fn(d, DistFnFlavor.RIGHT_CLOSED, rq)
-        ok = fc_lq == p and gc_rq == 1 - p
-        out.append(
-            CheckResult(
-                "g",
-                ok,
-                f"lq={format_extended(lq)} < rq={format_extended(rq)}: "
-                f"F(lq)={format_extended(fc_lq)} == p and "
-                f"P(X>=rq)={format_extended(gc_rq)} == 1-p",
-            )
+        g = CheckResult(
+            "g",
+            fc_lq == p and gc_rq == 1 - p,
+            f"lq={format_extended(lq)} < rq={format_extended(rq)}: "
+            f"F(lq)={format_extended(fc_lq)} == p and "
+            f"P(X>=rq)={format_extended(gc_rq)} == 1-p",
         )
     else:
-        out.append(CheckResult("g", True, f"vacuous: lq == rq == {format_extended(lq)}"))
+        g = CheckResult("g", True, f"vacuous: lq == rq == {format_extended(lq)}")
+    out.append(g)
 
     out.append(fixed.h)
 
@@ -534,7 +536,7 @@ def _equivariance_results(
     detail = f"{checked} identities checked, {skipped} skipped over {len(images)} maps"
     if failures:
         detail += "; " + "; ".join(failures[:3])
-    return [CheckResult("E", ok, detail)]
+    return [CheckResult("E", ok, detail, checked, skipped)]
 
 
 def check_quantile_properties(
@@ -743,7 +745,6 @@ def run_suite(
     n_dists: int,
     levels: Sequence[LevelLike],
     *,
-    maps: Optional[Sequence[tuple[str, MonotoneMap]]] = None,
     lq_fn: Optional[QuantileFn] = None,
 ) -> list[PropertyReport]:
     """Check every identity on ``n_dists`` seeded mixtures at every level.
@@ -757,7 +758,7 @@ def run_suite(
     if n_dists < 1:
         raise ValueError("n_dists must be >= 1")
     lq_fn = lq_fn or left_quantile
-    map_list = tuple(stock_maps() if maps is None else maps)
+    map_list = stock_maps()
     levels = [as_level(p) for p in levels]
     reports = []
     for i in range(n_dists):

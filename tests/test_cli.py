@@ -30,6 +30,8 @@ def rain():
 
 
 NARROW_HEADER = "line 1 has 2 fields, column 3 is missing"
+# the data file's column v at one level, for the refusal table
+READ_V = ["{data}", "--column", "v", "--levels", "0.5"]
 
 
 def rows_of(output):
@@ -276,23 +278,26 @@ class TestExitCodes:
         "command, data, code, message",
         [
             # a cell past csv.field_size_limit(), in a column the command does not read
-            (["quantile"], b"v,w\n1.0,x\n2.0," + b"y" * 140_000 + b"\n", 3,
+            (["quantile", *READ_V], b"v,w\n1.0,x\n2.0," + b"y" * 140_000 + b"\n", 3,
              "line 3: field larger than field limit"),
-            (["quantile", "--delimiter", "ab"], b"v\n1.0\n", 2, "1-character string"),
-            (["quantile", "--delimiter", ""], b"v\n1.0\n", 2, "1-character string"),
-            (["quantile"], b"v\n1.0\n\xe92.0\n", 2, "cannot read"),
-            (["quantile"], b"\xef\xbb\xbfv\n1.0\n\xe92.0\n", 2, "cannot read"),
-            (["transform", "--map", "@{map}"], b"v\n1.0\n", 2, "cannot read map file"),
+            (["quantile", "--delimiter", "ab", *READ_V], b"v\n1.0\n", 2, "1-character string"),
+            (["quantile", "--delimiter", "", *READ_V], b"v\n1.0\n", 2, "1-character string"),
+            (["quantile", *READ_V], b"v\n1.0\n\xe92.0\n", 2, "cannot read"),
+            (["quantile", *READ_V], b"\xef\xbb\xbfv\n1.0\n\xe92.0\n", 2, "cannot read"),
+            (["quantile", *READ_V], b"", 3, "file has no rows"),
+            (["transform", "--map", "@{map}", *READ_V], b"v\n1.0\n", 2, "cannot read map file"),
             # nested past the recursion limit, and an int past 4300 digits
             # (braces doubled for str.format)
-            (["transform", "--map", '{{"kind":' + "[" * 100_000], b"v\n1.0\n", 5,
+            (["transform", "--map", '{{"kind":' + "[" * 100_000, *READ_V], b"v\n1.0\n", 5,
              "map spec is not valid JSON"),
-            (["transform", "--map", '{{"kind":"affine","a":1,"b":1' + "0" * 4999 + "}}"],
+            (["transform", "--map", '{{"kind":"affine","a":1,"b":1' + "0" * 4999 + "}}", *READ_V],
              b"v\n1.0\n", 5, "map spec is not valid JSON"),
+            (["verify", "--n", "1", "--report", "{data}.missing/report.json"], b"", 2,
+             "cannot write"),
         ],
         ids=["over-long-field", "two-char-delimiter", "empty-delimiter", "data-not-utf8",
-             "data-not-utf8-after-a-bom", "map-not-utf8", "map-nested-too-deep",
-             "map-int-too-long"],
+             "data-not-utf8-after-a-bom", "empty-file", "map-not-utf8", "map-nested-too-deep",
+             "map-int-too-long", "report-dir-missing"],
     )
     def test_malformed_input_exits_without_a_traceback(
         self, runner, tmp_path, command, data, code, message
@@ -301,8 +306,7 @@ class TestExitCodes:
         f.write_bytes(data)
         map_file = tmp_path / "map.json"
         map_file.write_bytes(b'{"kind": "neg\xe9"}')
-        args = [a.format(map=map_file) for a in command]
-        res = runner.invoke(main, [*args, str(f), "--column", "v", "--levels", "0.5"])
+        res = runner.invoke(main, [a.format(map=map_file, data=f) for a in command])
         assert res.exit_code == code
         assert message in res.stderr
         assert isinstance(res.exception, SystemExit)

@@ -47,6 +47,9 @@ from dualquant.transforms import Transport, check_transport
 INF = float("inf")
 LEFT, RIGHT = QuantileSide.LEFT, QuantileSide.RIGHT
 ND, NI = Direction.NON_DECREASING, Direction.NON_INCREASING
+# spec pieces: the identity on the whole line, and split at 0
+WHOLE_LINE = {"lo": "-inf", "hi": "inf", "slope": 1, "intercept": 0}
+HALVES = [{**WHOLE_LINE, "hi": 0.0}, {**WHOLE_LINE, "lo": 0.0}]
 CL, CR = Continuity.LEFT, Continuity.RIGHT
 
 STOCK = dict(stock_maps())
@@ -419,6 +422,63 @@ class TestTransportRule:
         assert check_transport(push, p, side, direct) == (direct, Transport.EQUAL)
 
 
+# one spec per refusal of map_from_spec and MapPiece that JSON can reach,
+# with the message it must give; ids keep the names spec0, spec1, ...
+BAD_SPECS = [
+    ({"kind": "nope"}, "unknown smooth map kind 'nope'"),
+    ({"kind": "affine", "a": 0.0, "b": 1.0}, "nonzero scale"),
+    ({"direction": "sideways", "breakpoints": [], "pieces": []}, "unknown direction 'sideways'"),
+    (
+        {
+            "direction": "non_decreasing",
+            "breakpoints": [{"at": 99.0, "continuity": "left"}],
+            "pieces": [
+                {"lo": "-inf", "hi": 0.0, "slope": 1.0, "intercept": 0.0},
+                {"lo": 0.0, "hi": "inf", "slope": 1.0, "intercept": 1.0},
+            ],
+        },
+        "breakpoint positions",
+    ),
+    ({"kind": "affine", "a": 10**400}, "past the float range"),
+    ({"kind": "affine", "a": True}, "must be a number, got True"),
+    ([], "a map spec must be a JSON object"),
+    ({"direction": "non_decreasing", "pieces": []}, "'pieces' must be a non-empty list"),
+    ({"direction": "non_decreasing", "pieces": WHOLE_LINE}, "'pieces' must be a non-empty list"),
+    ({"direction": "non_decreasing", "pieces": [1]}, "piece 0 must be an object"),
+    (
+        {"direction": "non_decreasing", "pieces": [WHOLE_LINE], "breakpoints": {}},
+        "'breakpoints' must be a list",
+    ),
+    (
+        {"direction": "non_decreasing", "pieces": HALVES, "breakpoints": [0.0]},
+        "breakpoint 0 must be an object",
+    ),
+    (
+        {"direction": "non_decreasing", "pieces": [{"lo": "-inf", "hi": "inf", "slope": 1}]},
+        "piece 0 is missing required key 'intercept'",
+    ),
+    (
+        {"direction": "non_decreasing", "pieces": [{**WHOLE_LINE, "hi": "infinite"}]},
+        "bad interval bound 'infinite'",
+    ),
+    (
+        {
+            "direction": "non_decreasing",
+            "pieces": HALVES,
+            "breakpoints": [{"at": 0.0, "continuity": "up"}],
+        },
+        "breakpoint 0: unknown continuity 'up'",
+    ),
+    (
+        json.loads(
+            '{"direction": "non_decreasing",'
+            ' "pieces": [{"lo": "-inf", "hi": "inf", "slope": 1e999, "intercept": 0}]}'
+        ),
+        "piece slope and intercept must be finite",
+    ),
+]
+
+
 class TestMapSpecs:
     def test_smooth_round_trips(self):
         for m in (negation_map(), affine_map(2.0, 1.0), pow10_neg_map(), neglog10_map()):
@@ -449,25 +509,10 @@ class TestMapSpecs:
         assert spec["pieces"][-1]["hi"] == "inf"
 
     @pytest.mark.parametrize(
-        "spec",
-        [
-            {"kind": "nope"},
-            {"kind": "affine", "a": 0.0, "b": 1.0},
-            {"direction": "sideways", "breakpoints": [], "pieces": []},
-            {
-                "direction": "non_decreasing",
-                "breakpoints": [{"at": 99.0, "continuity": "left"}],
-                "pieces": [
-                    {"lo": "-inf", "hi": 0.0, "slope": 1.0, "intercept": 0.0},
-                    {"lo": 0.0, "hi": "inf", "slope": 1.0, "intercept": 1.0},
-                ],
-            },
-            {"kind": "affine", "a": 10**400},
-            {"kind": "affine", "a": True},
-        ],
+        "spec, message", BAD_SPECS, ids=[f"spec{i}" for i in range(len(BAD_SPECS))]
     )
-    def test_bad_specs_are_rejected(self, spec):
-        with pytest.raises(MapSpecError):
+    def test_bad_specs_are_rejected(self, spec, message):
+        with pytest.raises(MapSpecError, match=message):
             map_from_spec(spec)
 
 

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,7 +30,6 @@ from dualquant import (
     make_empirical,
     negate,
     neglog10_map,
-    negation_map,
     off_by_one_left_quantile,
     quantile_by_definition,
     random_mixture,
@@ -242,12 +243,12 @@ class TestPropertyChecks:
         for p in (Fraction(0), Fraction(1)):
             report = check_quantile_properties(ph_dist, p)
             assert report.passed
-            skips = [r for r in report.results if "skipped" in r.details]
-            assert skips and all(r.check_id == "g" for r in skips)
+            skips = [(r.check_id, r.checked, r.skipped) for r in report.results if r.skipped]
+            assert skips == [("g", 0, 1)]
 
     def test_interior_levels_skip_nothing(self, ph_dist):
         report = check_quantile_properties(ph_dist, Fraction(1, 2))
-        assert not [r for r in report.results if "skipped" in r.details]
+        assert not [r for r in report.results if r.skipped]
 
     def test_wrong_quantile_function_is_caught(self, ph_dist):
         report = check_quantile_properties(ph_dist, "0.2", lq_fn=off_by_one_left_quantile)
@@ -262,6 +263,29 @@ class TestPropertyChecks:
         (res,) = _equivariance_results(d, Fraction(1), images)
         assert res.passed
         assert res.details == "2 identities checked, 0 skipped over 1 maps"
+        assert res.checked == 2 and res.skipped == 0
+
+    def test_equivariance_failure_names_three_transports(self, monkeypatch):
+        # every finite routed value one too high: each identity E checks
+        # fails, its counts still cover 11 maps x 2 sides, and the details
+        # name the first three failures
+        routed = dualquant.verify.equivariant_quantile
+
+        def one_too_high(d, m, p, side):
+            x = routed(d, m, p, side)
+            return x if isinstance(x, float) and math.isinf(x) else x + 1
+
+        monkeypatch.setattr(dualquant.verify, "equivariant_quantile", one_too_high)
+        d = random_mixture(GeneratorConfig(seed=42))
+        (res,) = _equivariance_results(d, Fraction(1, 2), _pushforwards(d, stock_maps()))
+        assert not res.passed
+        assert res.checked + res.skipped == 22
+        head = f"{res.checked} identities checked, {res.skipped} skipped over 11 maps; "
+        assert res.details.startswith(head)
+        clauses = res.details[len(head):].split("; ")
+        assert len(clauses) == 3
+        for clause in clauses:
+            assert re.fullmatch(r"[\w-]+/(left|right): direct \S+ != routed \S+", clause), clause
 
     def test_symmetry_battery(self, ph_dist):
         for d in oracle_subjects(ph_dist):
@@ -360,6 +384,10 @@ class TestRunSuite:
         assert suite_passed(reports)
         assert first_failure(reports) is None
         assert "0 failed" in summarize(reports)
+        for r in reports:
+            (e,) = [c for c in r.results if c.check_id == "E"]
+            assert e.checked + e.skipped == 22
+            assert e.details == f"{e.checked} identities checked, {e.skipped} skipped over 11 maps"
 
     def test_report_serialization(self):
         reports = run_suite(GeneratorConfig(seed=7), 1, [Fraction(3, 10)])
@@ -374,12 +402,6 @@ class TestRunSuite:
     def test_rejects_empty_corpus(self):
         with pytest.raises(ValueError):
             run_suite(GeneratorConfig(), 0, [Fraction(1, 2)])
-
-    def test_map_library_can_be_narrowed(self):
-        reports = run_suite(
-            GeneratorConfig(seed=9), 2, [Fraction(1, 2)], maps=[("negation", negation_map())]
-        )
-        assert suite_passed(reports)
 
 
 class TestGoldenReports:
