@@ -387,6 +387,13 @@ def transform(data_file, column, weights, delimiter, header, levels_spec, map_ar
               help="swap in a broken quantile to prove the suite bites")
 def verify(seed, n_dists, report_path, inject_mutation):
     """Run the property-based verification suite on seeded random mixtures."""
+    # opened before the run, so an unwritable path costs no battery
+    report = None
+    if report_path:
+        try:
+            report = open(report_path, "w", encoding="utf-8")
+        except OSError as exc:
+            _fail(EXIT_IO, f"cannot write {report_path}: {exc.strerror or exc}")
     levels = standard_levels(seed)
     cfg = GeneratorConfig(seed=seed)
     start = time.perf_counter()
@@ -400,11 +407,10 @@ def verify(seed, n_dists, report_path, inject_mutation):
     click.echo(
         f"{n_dists} mixtures x {len(levels)} levels -> {summarize(reports)} [{elapsed:.1f}s]"
     )
-    if report_path:
+    if report:
         try:
-            Path(report_path).write_text(
-                json.dumps(reports_to_json(reports), indent=2), encoding="utf-8"
-            )
+            with report:
+                report.write(json.dumps(reports_to_json(reports), indent=2))
         except OSError as exc:
             _fail(EXIT_IO, f"cannot write {report_path}: {exc.strerror or exc}")
         click.echo(f"report written to {report_path}")

@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import random
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .distributions import (
@@ -754,31 +757,128 @@ def run_suite(
     and map equivariance E.  ``lq_fn`` lets a caller swap in a
     deliberately broken left quantile (see `off_by_one_left_quantile`)
     to confirm the harness actually bites.
+
+    The mixtures are dealt round-robin over the CPUs this process may
+    use (`_usable_cpus`): the caller checks every k-th mixture from the
+    first, and each of the other k - 1 shares runs in a forked child.
+    The reports come back in seed order and are the same as a serial
+    run's; ``taskset -c 0`` gives a serial run.  If mixtures raise, the
+    exception of the first of them in seed order propagates, as in a
+    serial run, and no child outlives the call.
     """
     if n_dists < 1:
         raise ValueError("n_dists must be >= 1")
     lq_fn = lq_fn or left_quantile
     map_list = stock_maps()
     levels = [as_level(p) for p in levels]
+    k = min(n_dists, _usable_cpus())
+
+    def share(j: int) -> list:
+        out = []
+        for i in range(j, n_dists, k):
+            try:
+                mixture_cfg = replace(cfg, seed=cfg.seed + i)
+                out.append(_mixture_reports(mixture_cfg, levels, lq_fn, map_list))
+            except Exception as exc:  # raised below, once the mixtures before it are known
+                out.append(exc)
+                break
+        return out
+
+    shares = _forked(share, k)
     reports = []
     for i in range(n_dists):
-        d = random_mixture(replace(cfg, seed=cfg.seed + i))
-        label = describe(d)
-        nd = negate(d)
-        grid, nd_grid = _candidate_table(d), _candidate_table(nd)
-        fixed = _level_free_checks(d, lq_fn)
-        shapes_ok = _shape_witnesses(d, grid)
-        images = _pushforwards(d, map_list)
-        for p in levels:
-            at = _at_level(d, grid, p, lq_fn)
-            results = (
-                _property_results(d, at, lq_fn, fixed)
-                + _symmetry_results(nd, nd_grid, p, at.lq, at.rq)
-                + _variant_results(at, shapes_ok)
-                + _equivariance_results(d, p, images)
-            )
-            reports.append(PropertyReport(label, p, tuple(results)))
+        part = shares[i % k][i // k]
+        if isinstance(part, Exception):
+            raise part
+        reports += part
     return reports
+
+
+def _mixture_reports(cfg, levels, lq_fn, map_list) -> list[PropertyReport]:
+    """The reports of the mixture `random_mixture(cfg)` at each level."""
+    d = random_mixture(cfg)
+    label = describe(d)
+    nd = negate(d)
+    grid, nd_grid = _candidate_table(d), _candidate_table(nd)
+    fixed = _level_free_checks(d, lq_fn)
+    shapes_ok = _shape_witnesses(d, grid)
+    images = _pushforwards(d, map_list)
+    reports = []
+    for p in levels:
+        at = _at_level(d, grid, p, lq_fn)
+        results = (
+            _property_results(d, at, lq_fn, fixed)
+            + _symmetry_results(nd, nd_grid, p, at.lq, at.rq)
+            + _variant_results(at, shapes_ok)
+            + _equivariance_results(d, p, images)
+        )
+        reports.append(PropertyReport(label, p, tuple(results)))
+    return reports
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork, or should
+    not: a forked child of a process with other threads can wait forever
+    on a lock one of them held."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _forked(fn: Callable[[int], list], k: int) -> list[list]:
+    """``[fn(0), ..., fn(k - 1)]``, with ``fn(0)`` run here and each other
+    call in a forked child that sends its list back through a pipe.
+
+    Fork, not spawn: the children inherit the imported package and the
+    arguments as they are, where a fresh interpreter per child would
+    cost as much as a share of a short run.  Each item goes as a pickle
+    of its own, ended by a pickled None, so reading holds the unpickling
+    memo of one item at a time rather than of the whole list.  A child
+    leaves by ``os._exit``, so it runs no exit hooks and flushes no
+    inherited buffer.  Whether this returns or raises, every child has
+    been reaped; one still running after a failure here is killed first.
+    """
+    if k == 1:
+        return [fn(0)]
+    import pickle  # here, so that a serial run and every other command skip it
+    import signal
+
+    children = []  # (pid, read end of its pipe)
+    try:
+        for j in range(1, k):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    with open(w, "wb") as pipe:
+                        for item in (*fn(j), None):
+                            pickle.dump(item, pipe, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        results = [fn(0)]
+        for pid, pipe in children:
+            try:
+                results.append(list(iter(partial(pickle.load, pipe), None)))
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"verify worker {pid} exited without a result") from None
+        return results
+    finally:
+        # a child whose result was read has nothing left to do
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def suite_passed(reports: Sequence[PropertyReport]) -> bool:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import dualquant.cli
 from dualquant import rain_csv_path
 from dualquant.cli import _load_column, main
 
@@ -496,6 +497,18 @@ class TestVerifyCommand:
         res = runner.invoke(main, ["verify", "--seed", "7", "--n", "2", "--inject-mutation"])
         assert res.exit_code == 1
         assert "first failure" in res.stderr
+
+    @pytest.mark.parametrize("where", ["missing/report.json", "."], ids=["dir-missing", "a-dir"])
+    def test_an_unwritable_report_is_refused_before_the_run(
+        self, runner, tmp_path, monkeypatch, where
+    ):
+        calls = []
+        monkeypatch.setattr(dualquant.cli, "run_suite", lambda *a, **kw: calls.append(a))
+        path = tmp_path / where
+        res = runner.invoke(main, ["verify", "--n", "30", "--report", str(path)])
+        assert res.exit_code == 2
+        assert f"cannot write {path}" in res.stderr
+        assert calls == [] and res.stdout == ""
 
 
 class TestEntryPoints:

@@ -1,9 +1,13 @@
 """The self-checking battery: scan oracle, property checks, generator, suite driver."""
 
+import contextlib
 import hashlib
 import json
 import math
+import os
 import re
+import signal
+import threading
 from fractions import Fraction
 
 import pytest
@@ -25,6 +29,7 @@ from dualquant import (
     breakpoints,
     check_quantile_properties,
     check_symmetry,
+    describe,
     dist_fn,
     left_quantile,
     make_empirical,
@@ -425,6 +430,149 @@ class TestGoldenReports:
         reports = run_suite(GeneratorConfig(seed=seed), 5, standard_levels(seed), lq_fn=lq_fn)
         text = json.dumps(reports_to_json(reports), indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class _Stop(BaseException):
+    """An interrupt that no `except Exception` in the battery catches."""
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Fail the block, instead of hanging the run, if it takes too long."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def raising_on(seed, failing):
+    """A left quantile that raises ValueError("boom <i>") on mixture i of
+    the corpus from ``seed`` for each i in ``failing``."""
+    labels = {describe(random_mixture(GeneratorConfig(seed=seed + i))): i for i in failing}
+
+    def lq(d, p):
+        i = labels.get(describe(d))
+        if i is not None:
+            raise ValueError(f"boom {i}")
+        return left_quantile(d, p)
+
+    return lq
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="run_suite runs serially without os.fork")
+class TestShardedSuite:
+    """`run_suite` deals its mixtures over the CPUs the process may use;
+    the reports read as a serial run's, and no child outlives a call."""
+
+    LEVELS = standard_levels(5)[::6]
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def use(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+        return use
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the children `run_suite` forks."""
+        pids, fork = [], os.fork
+
+        def counting():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting)
+        return pids
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("lq_fn", [None, off_by_one_left_quantile])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_sharded_reports_equal_serial(self, cpus, forks, n, lq_fn):
+        runs = {}
+        for n_cpus in (1, 2, 3, 4):
+            cpus(n_cpus)
+            with within(120):
+                reports = run_suite(GeneratorConfig(seed=5), n, self.LEVELS, lq_fn=lq_fn)
+            self.assert_no_child_left()
+            runs[n_cpus] = json.dumps(reports_to_json(reports), indent=2)
+        assert len(json.loads(runs[1])["reports"]) == n * len(self.LEVELS)
+        assert runs[2] == runs[1] and runs[3] == runs[1] and runs[4] == runs[1]
+        assert len(forks) == sum(min(n, n_cpus) - 1 for n_cpus in runs)
+
+    @pytest.mark.parametrize(
+        "failing, raised",
+        [({5}, "boom 5"), ({4, 5}, "boom 4"), ({3, 4}, "boom 3"), ({1, 3}, "boom 1")],
+        ids=["last-share", "two-children", "caller-first", "child-first"],
+    )
+    def test_the_first_failure_in_seed_order_reaches_the_caller(self, cpus, failing, raised):
+        # with 3 CPUs, mixtures 0 and 3 are checked here, 1 and 4 in the
+        # first child, 2 and 5 in the second
+        lq = raising_on(17, failing)
+        for n_cpus in (1, 3):
+            cpus(n_cpus)
+            with within(120), pytest.raises(ValueError, match=f"^{raised}$"):
+                run_suite(GeneratorConfig(seed=17), 6, self.LEVELS, lq_fn=lq)
+            self.assert_no_child_left()
+
+    def test_a_child_that_dies_is_an_error(self, cpus):
+        caller = os.getpid()
+
+        def lq(d, p):
+            if os.getpid() != caller:
+                os._exit(3)
+            return left_quantile(d, p)
+
+        cpus(2)
+        with within(120), pytest.raises(RuntimeError, match="exited without a result"):
+            run_suite(GeneratorConfig(seed=17), 2, self.LEVELS, lq_fn=lq)
+        self.assert_no_child_left()
+
+    def test_a_caller_with_threads_runs_serially(self, cpus, monkeypatch):
+        cpus(2)
+        want = run_suite(GeneratorConfig(seed=17), 2, self.LEVELS)
+
+        def refuse():
+            raise AssertionError("forked beside a live thread")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            assert run_suite(GeneratorConfig(seed=17), 2, self.LEVELS) == want
+        finally:
+            release.set()
+            other.join(60)
+        assert not other.is_alive()
+
+    def test_an_interrupt_here_stops_the_children(self, cpus):
+        # the caller's share is interrupted at once; the children, still
+        # checking theirs, are stopped and reaped before the interrupt leaves
+        caller = os.getpid()
+
+        def lq(d, p):
+            if os.getpid() == caller:
+                raise _Stop
+            return left_quantile(d, p)
+
+        cpus(3)
+        with within(120), pytest.raises(_Stop):
+            run_suite(GeneratorConfig(seed=17), 30, standard_levels(17), lq_fn=lq)
+        self.assert_no_child_left()
 
 
 class TestMutationSensitivity:
