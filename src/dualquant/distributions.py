@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, wraps
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import BadValueError, BadWeightError, EmptyDataError
@@ -197,41 +197,49 @@ class UniformSegment:
 class MixtureDistribution:
     """A finite mixture of atoms and uniform segments with total mass 1.
 
-    The atoms are kept as sorted columns: their float locations and, for
-    each, its mass as a positive integer numerator and denominator, as
+    Both kinds of part are kept as sorted columns: the atoms' float
+    locations, the segments' float ends ``lo`` and ``hi``, and for each
+    part its mass as a positive integer numerator and denominator, as
     given or pooled, not yet normalized.  One exact total of every mass
-    normalizes them; the segments are stored normalized.  Construction
-    canonicalizes: parts are sorted, duplicate atom locations and
-    overlapping segment interiors are rejected.  Touching segments (one
-    ending where the next begins) and atoms sitting inside or on
-    segments are all legal.
+    normalizes them all.  Construction canonicalizes: parts are sorted,
+    duplicate atom locations and overlapping segment interiors are
+    rejected.  Touching segments (one ending where the next begins) and
+    atoms sitting inside or on segments are all legal.
 
-    ``atoms`` is built from the columns on first read, each mass as its
-    numerator over its denominator divided by the total; the quantile
-    profile, `dist_fn` and `negate` read the columns instead.  Equality
-    and hashing compare the normalized atoms and segments.
+    ``atoms`` and ``segments`` are built from the columns on first read,
+    each mass as its numerator over its denominator divided by the
+    total; the quantile profile, `dist_fn`, `negate` and `pushforward`
+    read the columns instead.  Equality and hashing compare the
+    normalized atoms and segments.
     """
 
     def __init__(self, atoms: Iterable[Atom] = (), segments: Iterable[UniformSegment] = ()):
         atoms = sorted(atoms, key=lambda a: a.location)
+        segments = sorted(segments, key=lambda s: (s.lo, s.hi))
         self._set_columns(
             tuple(a.location for a in atoms),
             tuple(a.mass.numerator for a in atoms),
             tuple(a.mass.denominator for a in atoms),
-            segments,
+            tuple(s.lo for s in segments),
+            tuple(s.hi for s in segments),
+            tuple(s.mass.numerator for s in segments),
+            tuple(s.mass.denominator for s in segments),
         )
 
     @classmethod
-    def _of_columns(cls, locs, nums, dens, segments=(), what="atom location"):
-        # the construction path without Atoms: ``locs`` sorted, ``nums``
-        # and ``dens`` positive ints; ``what`` names a location in errors
+    def _of_columns(cls, *columns, what="atom location"):
+        # the construction path without parts: tuple columns as `_set_columns`
+        # takes them; ``what`` names an atom location in errors
         d = cls.__new__(cls)
-        d._set_columns(locs, nums, dens, segments, what)
+        d._set_columns(*columns, what=what)
         return d
 
-    def _set_columns(self, locs, nums, dens, segments, what="atom location"):
-        segments = sorted(segments, key=lambda s: (s.lo, s.hi))
-        if not locs and not segments:
+    def _set_columns(
+        self, locs, nums, dens, los=(), his=(), seg_nums=(), seg_dens=(), what="atom location"
+    ):
+        # ``locs`` sorted; segments sorted by ``lo``, each with finite ends
+        # ``lo < hi``; every ``nums``/``dens``/``seg_*`` entry a positive int
+        if not locs and not los:
             raise EmptyDataError("a distribution needs at least one atom or segment")
         # one pass: sorted locations that strictly increase hold no nan,
         # so only the two ends can be infinite
@@ -244,28 +252,30 @@ class MixtureDistribution:
                 raise BadValueError(f"{what} must be finite, got {bad!r}")
             bad = next(b for a, b in zip(locs, locs[1:]) if not a < b)
             raise BadValueError(f"duplicate atom location {bad!r}")
-        for s, t in zip(segments, segments[1:]):
-            if t.lo < s.hi:
-                raise BadValueError(
-                    f"segments [{s.lo}, {s.hi}] and [{t.lo}, {t.hi}] overlap"
-                )
-        counts, den = as_counts(nums, dens)
-        total = Fraction(sum(counts), den) + sum(s.mass for s in segments)
-        if total != 1:
-            segments = [UniformSegment(s.lo, s.hi, s.mass / total) for s in segments]
+        if not all(map(operator.le, his, islice(los, 1, None))):
+            k = next(k for k in range(1, len(los)) if los[k] < his[k - 1])
+            raise BadValueError(
+                f"segments [{los[k - 1]}, {his[k - 1]}] and [{los[k]}, {his[k]}] overlap"
+            )
+        counts, den = as_counts(nums + seg_nums, dens + seg_dens)
         self.__dict__.update(
-            _locs=locs, _nums=nums, _dens=dens, _total=total, segments=tuple(segments)
+            _locs=locs, _nums=nums, _dens=dens, _los=los, _his=his, _seg_nums=seg_nums,
+            _seg_dens=seg_dens, _total=Fraction(sum(counts), den),
         )
-
-    def _masses(self) -> list[Fraction]:
-        # each atom's normalized mass, in location order
-        t = self._total
-        return [Fraction(n, k) / t for n, k in zip(self._nums, self._dens)]
 
     @cached_property
     def atoms(self) -> tuple[Atom, ...]:
         """The atoms in location order, with normalized masses; built on first read."""
-        return tuple(map(Atom, self._locs, self._masses()))
+        t = self._total
+        cols = zip(self._locs, self._nums, self._dens)
+        return tuple(Atom(x, Fraction(n, k) / t) for x, n, k in cols)
+
+    @cached_property
+    def segments(self) -> tuple[UniformSegment, ...]:
+        """The segments in order, with normalized masses; built on first read."""
+        t = self._total
+        cols = zip(self._los, self._his, self._seg_nums, self._seg_dens)
+        return tuple(UniformSegment(lo, hi, Fraction(n, k) / t) for lo, hi, n, k in cols)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: a distribution is immutable")
@@ -357,7 +367,7 @@ def make_empirical(
     if set(map(type, values)) != {float}:
         values = [_finite_float(v, "data value") for v in values]
     # Non-finite floats are refused by the mixture, once per distinct value.
-    return MixtureDistribution._of_columns(*_pool(values, ws), (), "data value")
+    return MixtureDistribution._of_columns(*_pool(values, ws), what="data value")
 
 
 def _pool(
@@ -427,21 +437,18 @@ class _Tables(NamedTuple):
 
 @stored
 def _tables(d: MixtureDistribution) -> _Tables:
-    segs = d.segments
-    los = tuple(Fraction(s.lo) for s in segs)
-    his = tuple(Fraction(s.hi) for s in segs)
-    density = tuple(s.mass / (hi - lo) for s, lo, hi in zip(segs, los, his))
-    atoms, atoms_den = as_counts(d._nums, d._dens)
-    pieces, pieces_den = as_counts(
-        [s.mass.numerator for s in segs], [s.mass.denominator for s in segs]
-    )
+    los = tuple(map(Fraction, d._los))
+    his = tuple(map(Fraction, d._his))
+    # every mass, atom or segment, a count over one common denominator
+    counts, den = as_counts(d._nums + d._seg_nums, d._dens + d._seg_dens)
+    n, unit = len(d._locs), 1 / (den * d._total)
     return _Tables(
         tuple(map(Fraction, d._locs)),
         los,
         his,
-        density,
-        *_sums(atoms, 1 / (atoms_den * d._total)),
-        *_sums(pieces, Fraction(1, pieces_den)),
+        tuple(c * unit / (hi - lo) for c, lo, hi in zip(counts[n:], los, his)),
+        *_sums(counts[:n], unit),
+        *_sums(counts[n:], unit),
     )
 
 
@@ -487,13 +494,15 @@ def dist_fn(d: MixtureDistribution, flavor: DistFnFlavor, x: ExtendedReal) -> Pr
 
 def negate(d: MixtureDistribution) -> MixtureDistribution:
     """The distribution of -X.  Involutive: negate(negate(d)) == d."""
-    # the columns reversed, and each segment at its unnormalized mass, so
-    # the total stays the same
+    # every column reversed, the segments' ends swapped
     return MixtureDistribution._of_columns(
         tuple(-x for x in reversed(d._locs)),
         d._nums[::-1],
         d._dens[::-1],
-        [UniformSegment(-s.hi, -s.lo, s.mass * d._total) for s in d.segments],
+        tuple(-x for x in reversed(d._his)),
+        tuple(-x for x in reversed(d._los)),
+        d._seg_nums[::-1],
+        d._seg_dens[::-1],
     )
 
 
@@ -506,13 +515,11 @@ def essential_bounds(d: MixtureDistribution) -> tuple[float, float]:
 @stored
 def breakpoints(d: MixtureDistribution) -> tuple[float, ...]:
     """Sorted distinct support landmarks: atom locations and segment endpoints."""
-    if not d.segments:
+    if not d._los:
         return d._locs
-    pts = set(d._locs)
-    for s in d.segments:
-        pts.add(s.lo)
-        pts.add(s.hi)
-    return tuple(sorted(pts))
+    # a set keeps the first of equal values, so an atom's zero names the
+    # landmark, else the first segment end at zero, each lo before its hi
+    return tuple(sorted(set(chain(d._locs, chain.from_iterable(zip(d._los, d._his))))))
 
 
 def is_continuous(d: MixtureDistribution, flavor: DistFnFlavor) -> bool:
@@ -540,9 +547,7 @@ def is_strictly_monotone_on_hull(d: MixtureDistribution, flavor: DistFnFlavor) -
     """
     if not isinstance(flavor, DistFnFlavor):
         raise TypeError(f"flavor must be a DistFnFlavor, got {flavor!r}")
-    pieces = sorted(
-        [(x, x) for x in d._locs] + [(s.lo, s.hi) for s in d.segments]
-    )
+    pieces = sorted([(x, x) for x in d._locs] + list(zip(d._los, d._his)))
     reach = pieces[0][1]
     for lo, hi in pieces[1:]:
         if lo > reach:
@@ -553,9 +558,9 @@ def is_strictly_monotone_on_hull(d: MixtureDistribution, flavor: DistFnFlavor) -
 
 def describe(d: MixtureDistribution) -> str:
     """Compact human-readable summary, e.g. ``atoms{0: 1/2} + U[1, 2]: 1/2``."""
-    bits = []
-    if d._locs:
-        inner = ", ".join(f"{x:g}: {m}" for x, m in zip(d._locs, d._masses()))
-        bits.append("atoms{" + inner + "}")
-    bits.extend(f"U[{s.lo:g}, {s.hi:g}]: {s.mass}" for s in d.segments)
+    t = d._total
+    inner = [f"{x:g}: {Fraction(n, k) / t}" for x, n, k in zip(d._locs, d._nums, d._dens)]
+    bits = ["atoms{" + ", ".join(inner) + "}"] if inner else []
+    segs = zip(d._los, d._his, d._seg_nums, d._seg_dens)
+    bits.extend(f"U[{lo:g}, {hi:g}]: {Fraction(n, k) / t}" for lo, hi, n, k in segs)
     return " + ".join(bits)

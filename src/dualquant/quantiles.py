@@ -28,6 +28,7 @@ from .distributions import (
     as_counts,
     as_extended,
     as_level,
+    breakpoints,
     stored,
 )
 from .errors import BadValueError
@@ -77,9 +78,9 @@ class _Profile(NamedTuple):
     probabilities are integer numerators over the common denominator
     ``den``: ``cdf[i]`` is P(X <= xs[i]) and ``below_next[i]`` is
     P(X < xs[i+1]), i.e. ``cdf[i]`` plus the mass of the gap after
-    ``xs[i]`` (the last entry is ``den``).  ``gaps`` maps the index of
-    each gap that carries mass to ``(a, b)`` with F(a + b*p) = p there:
-    the exact inverse of the affine F on that gap.
+    ``xs[i]`` (the last entry is ``den``).  ``gaps`` keeps, for each gap
+    a query has landed in, ``(a, b)`` with F(a + b*p) = p there: the
+    exact inverse of the affine F on that gap, built on first use.
     """
 
     xs: tuple[float, ...]
@@ -91,54 +92,49 @@ class _Profile(NamedTuple):
 
 @stored
 def _profile(d: MixtureDistribution) -> _Profile:
-    """The profile of ``d``, built from its atom columns and segments.
+    """The profile of ``d``, built from its columns.
 
-    With no segments (every empirical distribution) this is integer work
-    only: the landmarks are the atom location column itself, and the
-    running sums of the atoms' counts over one common denominator are
-    the CDF's numerators over their own total, so no mass is normalized,
-    no `Fraction` is built and ``d.atoms`` is never read.  With segments
-    the atoms' normalized masses and each gap's share of its segment's
-    mass go over the least common denominator of them all.
+    Every mass goes in as an integer count over the common denominator
+    of all the parts' masses, and ``den`` is the sum of the counts, so no
+    mass is normalized.  Without segments (all data) the landmarks are
+    the location column and the CDF the running sum of the counts.  A
+    gap that is a whole segment adds the segment's count; only a segment
+    cut by an atom gives its gaps `Fraction` shares by length, and then
+    every mass is scaled to the common denominator of those shares.
     """
-    if not d.segments:
-        counts, _ = as_counts(d._nums, d._dens)
+    counts, _ = as_counts(d._nums + d._seg_nums, d._dens + d._seg_dens)
+    if not d._los:
         cdf = tuple(accumulate(counts))
         return _Profile(d._locs, cdf[-1], cdf, cdf, {})
-    # a dict keeps the first of two equal keys, so where -0.0 meets 0.0
-    # the atom's zero wins over a segment end's, and an earlier segment
-    # end over a later one
-    jump = dict(zip(d._locs, d._masses()))
-    for s in d.segments:
-        jump.setdefault(s.lo, 0)
-        jump.setdefault(s.hi, 0)
-    xs = sorted(jump)
-    segs = d.segments
+    xs = breakpoints(d)
+    jump = dict(zip(d._locs, counts))
+    los, his, seg_counts = d._los, d._his, counts[len(d._locs):]
     masses = []  # the mass at each landmark, then that of the gap after it
-    covering = {}
     j = 0  # the first segment ending after the current landmark
-    for i, x in enumerate(xs):
-        masses.append(jump[x])
-        while j < len(segs) and segs[j].hi <= x:
+    for x, nxt in zip(xs, xs[1:] + xs[-1:]):
+        masses.append(jump.get(x, 0))
+        while j < len(his) and his[j] <= x:
             j += 1
-        if i + 1 < len(xs) and j < len(segs) and segs[j].lo <= x:
-            s = covering[i] = segs[j]  # the whole gap: its ends are landmarks
-            masses.append(s.mass * (Fraction(xs[i + 1]) - Fraction(x)) / s.width)
+        if j < len(los) and los[j] <= x:  # segment j covers the gap (x, nxt)
+            c = seg_counts[j]
+            if los[j] != x or his[j] != nxt:
+                c = c * (Fraction(nxt) - Fraction(x)) / (Fraction(his[j]) - Fraction(los[j]))
+            masses.append(c)
         else:
             masses.append(0)
-    den = lcm(*(m.denominator for m in masses))
-    cum = list(accumulate(m.numerator * (den // m.denominator) for m in masses))
-    cdf = cum[0::2]
-    gaps = {}
-    for i, s in covering.items():
-        slope = s.width / s.mass
-        gaps[i] = (Fraction(xs[i]) - Fraction(cdf[i], den) * slope, slope)
-    return _Profile(tuple(xs), den, tuple(cdf), tuple(cum[1::2]), gaps)
+    scale = lcm(*(m.denominator for m in masses))
+    cum = tuple(accumulate(m.numerator * (scale // m.denominator) for m in masses))
+    return _Profile(xs, cum[-1], cum[0::2], cum[1::2], {})
 
 
 def _invert(prof: _Profile, i: int, p: Probability) -> ExtendedReal:
     # the point of the gap after xs[i] where the affine F reaches p
-    a, b = prof.gaps[i]
+    try:
+        a, b = prof.gaps[i]
+    except KeyError:
+        lo = Fraction(prof.xs[i])
+        width, mass = Fraction(prof.xs[i + 1]) - lo, prof.below_next[i] - prof.cdf[i]
+        a, b = prof.gaps[i] = lo - prof.cdf[i] * width / mass, width * prof.den / mass
     return as_extended(a + b * p)
 
 

@@ -296,18 +296,20 @@ def pushforward(d: MixtureDistribution, m: MonotoneMap) -> MixtureDistribution:
     neglog10) accept only atom-only distributions, since they would bend
     a uniform segment into a non-uniform law this model cannot represent.
 
-    The image is built the way `make_empirical` builds data: the mapped
-    location column, then the collapsed parts, carrying their masses
-    unnormalized, are pooled by `_pool`, so colliding images add up and
-    the first of ``-0.0`` and ``0.0`` names the atom.  No `Atom` is built.
+    The image is built from ``d``'s columns the way `make_empirical`
+    builds data, with every mass unnormalized, so the image has the same
+    total: the mapped location column, then the collapsed parts, are
+    pooled by `_pool`, so colliding images add up and the first of
+    ``-0.0`` and ``0.0`` names the atom; image segments go into segment
+    columns.  A part that is a whole segment carries the segment's own
+    mass, and only a segment cut by a breakpoint gives its parts a
+    `Fraction` share.  No `Atom` or `UniformSegment` is built.
     """
-    # each mass as the columns store it, and each segment part rescaled by
-    # the total, as `negate` does, so the image has the same total
     ws = [n if k == 1 else Fraction(n, k) for n, k in zip(d._nums, d._dens)]
-    segs = []
+    segs = []  # (lo, hi, numerator, denominator) of each image segment
     if isinstance(m, SmoothMonotoneMap):
         # the curved kinds keep exactness only for purely atomic distributions
-        if d.segments:
+        if d._los:
             raise UnsupportedPushforwardError(
                 f"{m.kind.value} pushforward needs an atom-only distribution; "
                 "a uniform segment's image would not be uniform"
@@ -316,30 +318,30 @@ def pushforward(d: MixtureDistribution, m: MonotoneMap) -> MixtureDistribution:
     elif isinstance(m, PiecewiseMonotoneMap):
         ys = [_apply_piecewise(m, x) for x in d._locs]
         bs = m.breakpoints
-        for s in d.segments:
-            # split at the map's breakpoints inside (lo, hi); part k rides piece i + k
-            i = bisect_right(bs, s.lo)
-            cuts = [s.lo, *bs[i : bisect_left(bs, s.hi)], s.hi]
-            mass = s.mass * d._total / s.width
+        for lo, hi, n, k in zip(d._los, d._his, d._seg_nums, d._seg_dens):
+            # split at the map's breakpoints inside (lo, hi); part j rides piece i + j
+            i = bisect_right(bs, lo)
+            cuts = [lo, *bs[i : bisect_left(bs, hi)], hi]
+            mass = n if k == 1 else Fraction(n, k)
+            density = mass / (Fraction(hi) - Fraction(lo)) if len(cuts) > 2 else None
             for u, v, piece in zip(cuts, cuts[1:], m.pieces[i:]):
-                part = mass * (Fraction(v) - Fraction(u))
+                part = mass if density is None else density * (Fraction(v) - Fraction(u))
                 if piece.slope == 0:  # the intercept exactly, signed zero included
-                    lo = hi = piece.intercept
+                    a = b = piece.intercept
                 else:
-                    lo, hi = sorted((piece.value(u), piece.value(v)))
-                if lo == hi:
-                    ys.append(lo)
+                    a, b = sorted((piece.value(u), piece.value(v)))
+                if a == b:
+                    ys.append(a)
                     ws.append(part)
                 else:
-                    segs.append((lo, hi, part))
+                    segs.append((a, b, part.numerator, part.denominator))
     else:
         raise TypeError(f"not a monotone map: {m!r}")
     # float overflow is the one way a finite point gets a non-finite image
-    if not all(map(math.isfinite, chain(ys, (y for lo, hi, _ in segs for y in (lo, hi))))):
+    if not all(map(math.isfinite, chain(ys, (y for seg in segs for y in seg[:2])))):
         raise MapDomainError("the map sends a finite value past the float range")
-    return MixtureDistribution._of_columns(
-        *_pool(ys, ws), [UniformSegment(lo, hi, w) for lo, hi, w in segs]
-    )
+    segs.sort()  # in order already, or reversed by a non-increasing map
+    return MixtureDistribution._of_columns(*_pool(ys, ws), *zip(*segs))
 
 
 def equivariant_quantile(

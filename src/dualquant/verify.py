@@ -634,6 +634,8 @@ class GeneratorConfig:
         lo, hi = self.location_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"bad location range {self.location_range!r}")
+        if len(set(_lattice(self))) <= _LATTICE_STEPS:
+            raise ValueError(f"location range {self.location_range!r} has too few distinct floats")
         if self.mass_granularity < 1:
             raise ValueError("mass_granularity must be >= 1")
 
@@ -642,8 +644,9 @@ _LATTICE_STEPS = 32
 
 
 def _lattice(cfg: GeneratorConfig) -> list[float]:
-    lo, hi = cfg.location_range
-    return [lo + k * (hi - lo) / _LATTICE_STEPS for k in range(_LATTICE_STEPS + 1)]
+    # each point exact, then rounded once: nothing overflows or collapses
+    lo, hi = map(Fraction, cfg.location_range)
+    return [float(lo + (hi - lo) * k / _LATTICE_STEPS) for k in range(_LATTICE_STEPS + 1)]
 
 
 def _rand_mass(rng: random.Random, cfg: GeneratorConfig) -> Fraction:

@@ -536,6 +536,42 @@ class TestColumns:
         assert [a.location for a in d.atoms] == [0.5, 1.0, 2.0]
         assert "atoms" in vars(d)
 
+    def test_queries_build_no_segment(self, monkeypatch):
+        d = MixtureDistribution(
+            atoms=(Atom(1.5, Fraction(1, 2)), Atom(3.0, Fraction(1))),
+            segments=(uniform(0, 1, Fraction(2)), uniform(1, 3, Fraction(1, 3)), uniform(-2, -1)),
+        )
+        built = []
+        real = UniformSegment.__post_init__
+        monkeypatch.setattr(UniformSegment, "__post_init__", lambda s: built.append(s) or real(s))
+        quantile_pair(d, "0.5")
+        quantile_pair(d, "0.3")
+        dist_fn(d, F_OPEN, 0.5)
+        dist_fn(d, G_CLOSED, 2.0)
+        nd = negate(d)
+        quantile_pair(nd, "0.7")
+        breakpoints(d)
+        flat = PiecewiseMonotoneMap(
+            (
+                MapPiece(NEG_INF, 0.5, 1.0, 0.0),
+                MapPiece(0.5, 2.0, 0.0, 0.5),
+                MapPiece(2.0, POS_INF, 1.0, -1.5),
+            ),
+            Direction.NON_DECREASING,
+            (Continuity.LEFT, Continuity.LEFT),
+        )
+        for m in (affine_map(-3.0, 0.5), flat):
+            quantile_pair(pushforward(d, m), "0.5")
+        assert built == [] and "segments" not in vars(d)
+        segments = d.segments  # built on first read, with normalized masses
+        assert len(built) == 3
+        total = Fraction(1, 2) + 1 + 2 + Fraction(1, 3) + 1
+        assert segments == (
+            uniform(-2, -1, 1 / total),
+            uniform(0, 1, 2 / total),
+            uniform(1, 3, Fraction(1, 3) / total),
+        )
+
     @pytest.mark.parametrize("kind", EMPIRICAL_KINDS)
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_data_are_refused(self, kind, bad):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
@@ -19,9 +20,12 @@ from dualquant import (
     QuantileSide,
     QuantileVariant,
     UniformSegment,
+    affine_map,
+    equivariant_quantile,
     left_quantile,
     make_empirical,
     negate,
+    pushforward,
     quantile_at,
     quantile_by_definition,
     quantile_pair,
@@ -288,3 +292,118 @@ class TestProfileStorage:
         assert math.copysign(1.0, left_quantile(pos_zero, 0.5)) == 1.0
         assert math.copysign(1.0, right_quantile(pos_zero, 0)) == 1.0
         assert math.copysign(1.0, right_quantile(neg_zero, 0)) == -1.0
+
+    def test_a_gap_inverse_is_built_on_the_first_query_in_it(self):
+        d = MixtureDistribution(
+            atoms=(Atom(1.0, 1),),
+            segments=(UniformSegment(0.0, 2.0, 2), UniformSegment(3.0, 4.0, 1)),
+        )
+        prof = quantiles._profile(d)
+        assert prof.gaps == {}
+        assert quantile_pair(d, Fraction(1, 8)) == QuantilePair(0.5, 0.5, Fraction(1, 8))
+        assert quantile_pair(d, Fraction(1, 16)) == QuantilePair(0.25, 0.25, Fraction(1, 16))
+        assert list(prof.gaps) == [0]
+        assert left_quantile(d, Fraction(7, 8)) == 3.5 and list(prof.gaps) == [0, 3]
+
+
+def walk_quantiles(atoms, segments, levels):
+    """lq and rq at each level by the definition, walking the parts in
+    order in `Fraction` arithmetic: each segment is split at the atoms
+    inside it, and a level is answered by the first part whose running
+    mass reaches it (lq) or passes it (rq)."""
+    inside = sorted(x for x, _ in atoms)
+    parts = [(x, x, Fraction(m)) for x, m in atoms]
+    for lo, hi, m in segments:
+        cuts = [lo, *(x for x in inside[bisect_right(inside, lo) : bisect_left(inside, hi)]), hi]
+        width = Fraction(hi) - Fraction(lo)
+        parts += [(u, v, m * (Fraction(v) - Fraction(u)) / width) for u, v in zip(cuts, cuts[1:])]
+    parts.sort(key=lambda part: part[:2])  # an atom after the part ending at it
+    total = sum(m for _, _, m in parts)
+    after = [c / total for c in accumulate(m for _, _, m in parts)]
+
+    def answer(k, p):
+        u, v, m = parts[k]
+        if u == v:
+            return u
+        before = after[k - 1] if k else 0
+        x = Fraction(u) + (p - before) * total * (Fraction(v) - Fraction(u)) / m
+        return float(x) if Fraction(float(x)) == x else x
+
+    return [
+        (
+            NEG_INF if p == 0 else answer(bisect_left(after, p), p),
+            POS_INF if p == 1 else answer(bisect_right(after, p), p),
+        )
+        for p in levels
+    ], after, parts
+
+
+def _signed(x):
+    return x, type(x), math.copysign(1.0, x) if isinstance(x, float) else None
+
+
+class TestSegmentHeavyMixture:
+    """About 20k touching segments on a grid of 1/64: some cut by atoms
+    inside them, some with atoms on their ends, one gap in the support,
+    and segment ends at both -0.0 and 0.0."""
+
+    @pytest.fixture(scope="class")
+    def mixture(self):
+        rng = random.Random(16)
+        n = 20_000
+        ends = [k / 64 for k in range(-n // 2, n // 2 + 1)]
+        gap = 7_000
+        segments = []
+        for k, (lo, hi) in enumerate(zip(ends, ends[1:])):
+            if k == gap:
+                continue
+            mass = rng.choice((1, 2, 5, Fraction(1, 3), Fraction(7, 2)))
+            segments.append((lo, -0.0 if hi == 0 else hi, mass))
+        cut = rng.sample(range(n), 600)
+        on_ends = rng.sample([k for k in range(1, n) if k not in (gap, gap + 1, n // 2)], 600)
+        atoms = [((ends[k] + ends[k + 1]) / 2, Fraction(rng.randint(1, 4), 3)) for k in cut]
+        atoms += [(ends[k], rng.randint(1, 9)) for k in on_ends]
+        d = MixtureDistribution(
+            atoms=tuple(Atom(x, m) for x, m in atoms),
+            segments=tuple(UniformSegment(lo, hi, m) for lo, hi, m in segments),
+        )
+        _, after, parts = walk_quantiles(atoms, segments, ())
+        # levels on a grid, at the flat stretch over the gap, at the zero
+        # junction, and at, inside and below the jumps of some atoms
+        at_gap = after[next(k for k, (u, _, _) in enumerate(parts) if u >= ends[gap + 1]) - 1]
+        at_zero = after[next(k for k, (u, _, _) in enumerate(parts) if u >= 0) - 1]
+        jumps = [k for k, (u, v, _) in enumerate(parts) if u == v][::400]
+        levels = [Fraction(0), Fraction(1), at_gap, at_zero]
+        levels += [Fraction(k, 29) for k in range(1, 29)]
+        for k in jumps[:3]:
+            levels += [after[k - 1], after[k], (after[k - 1] + after[k]) / 2]
+        assert len(set(levels)) == 41
+        want, _, _ = walk_quantiles(atoms, segments, levels)
+        return d, levels, want
+
+    def test_quantiles_match_a_walk_over_the_parts(self, mixture):
+        d, levels, want = mixture
+        got = [quantile_pair(d, p) for p in levels]
+        assert [(_signed(q.left), _signed(q.right)) for q in got] == [
+            (_signed(lq), _signed(rq)) for lq, rq in want
+        ]
+        # F is flat over the gap only, so no other level has two quantiles
+        assert [(q.left, q.right) for q in got[2:] if q.left < q.right] == [(-46.875, -46.859375)]
+
+    def test_negation_mirrors_both_quantiles(self, mixture):
+        d, levels, _ = mixture
+        nd = negate(d)
+        for p in levels:
+            pair, mirror = quantile_pair(d, p), quantile_pair(nd, 1 - p)
+            assert (pair.left, pair.right) == (-mirror.right, -mirror.left), p
+        assert negate(nd) == d
+
+    def test_pushforward_quantiles_are_the_transported_ones(self, mixture):
+        d, levels, _ = mixture
+        m = affine_map(-3.0, 0.5)
+        push = pushforward(d, m)
+        for p in levels:
+            for side in QuantileSide:
+                assert _signed(quantile_at(push, p, side)) == _signed(
+                    equivariant_quantile(d, m, p, side)
+                ), (p, side)

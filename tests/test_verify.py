@@ -224,8 +224,8 @@ class TestVerifierStoresNothing:
         check_quantile_properties(d, p)
         check_symmetry(d, p)
         assert set(vars(d)) == {
-            "_locs", "_nums", "_dens", "_total", "atoms", "segments",
-            "_tables", "_profile", "_breakpoints",
+            "_locs", "_nums", "_dens", "_los", "_his", "_seg_nums", "_seg_dens", "_total",
+            "atoms", "_tables", "_profile", "_breakpoints",
         }
 
 
@@ -347,6 +347,26 @@ class TestGenerator:
                 x for s in d.segments for x in (s.lo, s.hi)
             ]
             assert all(lo <= x <= hi for x in points)
+
+    @pytest.mark.parametrize(
+        "location_range",
+        [(-1.7e308, 1.7e308), (1e-310, 3e-310), (1e15, 1e15 + 4096.3)],
+        ids=["float-limits", "subnormal", "far-from-origin"],
+    )
+    def test_draws_reach_every_float_scale(self, location_range):
+        lo, hi = location_range
+        for i in range(50):
+            d = random_mixture(GeneratorConfig(seed=i, location_range=location_range))
+            assert all(lo <= x <= hi for x in breakpoints(d))
+
+    def test_lattice_points_are_exact_interpolations(self):
+        lat = dualquant.verify._lattice(GeneratorConfig(location_range=(-1.7e308, 1.7e308)))
+        assert lat[0] == -1.7e308 and lat[16] == 0.0 and lat[-1] == 1.7e308
+        assert dualquant.verify._lattice(GeneratorConfig()) == [-4.0 + k / 4 for k in range(33)]
+
+    def test_a_range_too_narrow_for_distinct_lattice_points_is_refused(self):
+        with pytest.raises(ValueError, match="distinct"):
+            GeneratorConfig(location_range=(0.0, 5e-323))
 
     def test_edge_shapes_appear_often_enough(self):
         single = atom_free = gapped = 0
