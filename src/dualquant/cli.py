@@ -5,6 +5,9 @@ stdout carries data, stderr carries diagnostics.  Exit codes:
 input, 3 malformed data (message names line and column), 4 invalid
 level, 5 bad map description or map not applicable, 6 the map's
 one-sided continuity cannot support the requested quantile side.
+
+Each command imports the library code it runs when it runs, so
+``--help`` loads none of it and ``quantile`` loads no map or verifier.
 """
 
 from __future__ import annotations
@@ -15,30 +18,21 @@ import math
 import sys
 import time
 from bisect import bisect_left
-from fractions import Fraction
 from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
-from .distributions import as_exact, breakpoints, format_extended, make_empirical, negate
 from .errors import (
     ContinuityMismatchError,
     MapDomainError,
     MapSpecError,
     UnsupportedPushforwardError,
 )
-from .quantiles import QuantileSide, left_quantile, quantile_pair, right_quantile
-from .transforms import check_transport, equivariant_quantile, map_from_spec, pushforward
-from .verify import (
-    GeneratorConfig,
-    first_failure,
-    off_by_one_left_quantile,
-    reports_to_json,
-    run_suite,
-    standard_levels,
-    summarize,
-)
+
+if TYPE_CHECKING:  # read only in annotations; --help need not import it
+    from fractions import Fraction
 
 EXIT_IO = 2
 EXIT_PARSE = 3
@@ -60,6 +54,8 @@ def _print_table(headers: list[str], rows: list[list[str]]) -> None:
 
 
 def _parse_levels(spec: str) -> list[Fraction]:
+    from .distributions import as_exact
+
     out = []
     for raw in spec.split(","):
         tok = raw.strip()
@@ -134,6 +130,8 @@ def _nonblank_rows(reader, path: str):
 def _load_column(path: str, column: str, weights, delimiter: str, header):
     """Read one value column (and optional weight column) from a
     delimited text file.  Returns (values, weights-or-None, column label)."""
+    from .distributions import as_exact
+
     # read_text has turned \r\n and \r into \n, the one line break left;
     # splitlines would also break at \f, \x1c, U+2028 and the like inside a cell
     reader = csv.reader(_read_text(path).split("\n"), delimiter=delimiter, strict=True)
@@ -242,6 +240,9 @@ def quantile(data_file, column, weights, delimiter, header, levels_spec, fmt):
     The 'traditional' column repeats the left quantile, which is what
     the everyday inf-based definition computes.
     """
+    from .distributions import format_extended, make_empirical
+    from .quantiles import quantile_pair
+
     values, wvals, label = _load_column(data_file, column, weights, delimiter, header)
     levels = _parse_levels(levels_spec)
     d = make_empirical(values, wvals)
@@ -266,6 +267,8 @@ def quantile(data_file, column, weights, delimiter, header, levels_spec, fmt):
 
 def _row_position(d, x):
     # 1-based rank of x among the distinct sorted data values, if it is one
+    from .distributions import breakpoints
+
     bps = breakpoints(d)
     i = bisect_left(bps, x)
     return i + 1 if i < len(bps) and bps[i] == x else None
@@ -285,6 +288,9 @@ def symmetry(data_file, column, weights, delimiter, header, levels_spec):
     disagree precisely over flat stretches of the distribution
     function, typically landing one data row apart.
     """
+    from .distributions import format_extended, make_empirical, negate
+    from .quantiles import left_quantile, quantile_pair, right_quantile
+
     values, wvals, label = _load_column(data_file, column, weights, delimiter, header)
     levels = _parse_levels(levels_spec)
     d = make_empirical(values, wvals)
@@ -325,6 +331,8 @@ def symmetry(data_file, column, weights, delimiter, header, levels_spec):
 
 
 def _load_map(map_arg: str):
+    from .transforms import map_from_spec
+
     if map_arg.lstrip().startswith("{"):
         text = map_arg
     else:
@@ -355,6 +363,10 @@ def transform(data_file, column, weights, delimiter, header, levels_spec, map_ar
     two agree whenever the map's one-sided continuity supports the
     requested side; otherwise the command refuses with exit code 6.
     """
+    from .distributions import format_extended, make_empirical
+    from .quantiles import QuantileSide
+    from .transforms import check_transport, equivariant_quantile, pushforward
+
     m = _load_map(map_arg)
     values, wvals, label = _load_column(data_file, column, weights, delimiter, header)
     levels = _parse_levels(levels_spec)
@@ -387,6 +399,16 @@ def transform(data_file, column, weights, delimiter, header, levels_spec, map_ar
               help="swap in a broken quantile to prove the suite bites")
 def verify(seed, n_dists, report_path, inject_mutation):
     """Run the property-based verification suite on seeded random mixtures."""
+    from .verify import (
+        GeneratorConfig,
+        first_failure,
+        off_by_one_left_quantile,
+        reports_to_json,
+        run_suite,
+        standard_levels,
+        summarize,
+    )
+
     # opened before the run, so an unwritable path costs no battery
     report = None
     if report_path:

@@ -388,6 +388,13 @@ def _pool(
     dens: dict[float, int] = {}
     if weights is None:
         nums = Counter(values)
+    elif set(map(type, weights)) == {int} and min(weights) > 0:
+        # positive int counts, tested once for the column (a bool is no
+        # int here, and is refused below): a bare sum, no dens to keep
+        nums = {}
+        get = nums.get
+        for v, w in zip(values, weights):
+            nums[v] = get(v, 0) + w
     else:
         nums = {}
         for v, w in zip(values, weights):

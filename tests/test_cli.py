@@ -14,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import dualquant.cli
+import dualquant.verify
 from dualquant import rain_csv_path
 from dualquant.cli import _load_column, main
 
@@ -503,7 +504,7 @@ class TestVerifyCommand:
         self, runner, tmp_path, monkeypatch, where
     ):
         calls = []
-        monkeypatch.setattr(dualquant.cli, "run_suite", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(dualquant.verify, "run_suite", lambda *a, **kw: calls.append(a))
         path = tmp_path / where
         res = runner.invoke(main, ["verify", "--n", "30", "--report", str(path)])
         assert res.exit_code == 2
