@@ -20,11 +20,14 @@ _MODULES = ("errors", "distributions", "quantiles", "transforms", "verify")
 
 
 def __getattr__(name: str):
-    """Resolve a public name on first access (PEP 562): import the first
-    module whose ``__all__`` lists it and bind it here, so importing the
-    package loads none of its modules until a name is read."""
-    if name in _MODULES:
-        return importlib.import_module(f".{name}", __name__)  # binds itself here
+    """Resolve a public name on first access (PEP 562): import the module
+    of that name, or else the first module whose ``__all__`` lists it, and
+    bind it here, so importing the package loads none of its modules until
+    a name is read.  ``__main__`` is never imported here, since importing
+    it runs the CLI."""
+    if name.isidentifier() and name != "__main__":
+        if Path(__file__).with_name(f"{name}.py").is_file():
+            return importlib.import_module(f".{name}", __name__)  # binds itself here
     if name == "__all__":
         value = [n for m in _MODULES for n in __getattr__(m).__all__] + ["rain_csv_path"]
     else:

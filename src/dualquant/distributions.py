@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import cached_property
 from itertools import accumulate, chain, islice
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -194,6 +194,51 @@ class UniformSegment:
         return Fraction(self.hi) - Fraction(self.lo)
 
 
+class _Tables(NamedTuple):
+    """What `dist_fn` reads of one distribution, built once.
+
+    ``locs``, ``los`` and ``his`` hold the sorted atom locations and
+    segment ends as Fractions, so an argument converted once bisects them
+    exactly.  Segment interiors are disjoint, so segments sorted by
+    ``lo`` have sorted ``his`` too.  Every mass is an integer count of
+    the mixture's ``_counts``, and ``total`` is their sum.  Entry k of a
+    ``*_below`` table is the count of the first k parts, entry k of an
+    ``*_above`` table that of the parts from k on, summed on its own
+    rather than derived from the other; left and right flavors read
+    separate tables.
+    """
+
+    locs: tuple[Fraction, ...]
+    los: tuple[Fraction, ...]
+    his: tuple[Fraction, ...]
+    density: tuple[Fraction, ...]  # count per unit length of each segment
+    atoms_below: list[int]
+    atoms_above: list[int]
+    segments_below: list[int]
+    segments_above: list[int]
+    total: int
+
+
+class _Profile(NamedTuple):
+    """The exact CDF profile of one distribution, built once.
+
+    ``xs`` are the sorted distinct landmarks (atom locations and segment
+    endpoints); F is affine on each open gap between two of them.  The
+    probabilities are integer numerators over the common denominator
+    ``den``: ``cdf[i]`` is P(X <= xs[i]) and ``below_next[i]`` is
+    P(X < xs[i+1]), i.e. ``cdf[i]`` plus the mass of the gap after
+    ``xs[i]`` (the last entry is ``den``).  ``gaps`` keeps, for each gap
+    a query has landed in, ``(a, b)`` with F(a + b*p) = p there: the
+    exact inverse of the affine F on that gap, built on first use.
+    """
+
+    xs: tuple[float, ...]
+    den: int
+    cdf: tuple[int, ...]
+    below_next: tuple[int, ...]
+    gaps: dict[int, tuple[Fraction, Fraction]]
+
+
 class MixtureDistribution:
     """A finite mixture of atoms and uniform segments with total mass 1.
 
@@ -201,16 +246,19 @@ class MixtureDistribution:
     locations, the segments' float ends ``lo`` and ``hi``, and for each
     part its mass as a positive integer numerator and denominator, as
     given or pooled, not yet normalized.  One exact total of every mass
-    normalizes them all.  Construction canonicalizes: parts are sorted,
-    duplicate atom locations and overlapping segment interiors are
-    rejected.  Touching segments (one ending where the next begins) and
-    atoms sitting inside or on segments are all legal.
+    normalizes them all.  Every mass is also kept as an integer count
+    over one common denominator, the atoms' then the segments', in
+    ``_counts``.  Construction canonicalizes: parts are sorted, duplicate
+    atom locations and overlapping segment interiors are rejected.
+    Touching segments (one ending where the next begins) and atoms
+    sitting inside or on segments are all legal.
 
     ``atoms`` and ``segments`` are built from the columns on first read,
     each mass as its numerator over its denominator divided by the
-    total; the quantile profile, `dist_fn`, `negate` and `pushforward`
-    read the columns instead.  Equality and hashing compare the
-    normalized atoms and segments.
+    total; `negate` and `pushforward` read the columns instead.  The
+    breakpoints, `dist_fn`'s tables and the quantile profile are built
+    from the columns and counts on first read, and kept.  Equality and
+    hashing compare the normalized atoms and segments.
     """
 
     def __init__(self, atoms: Iterable[Atom] = (), segments: Iterable[UniformSegment] = ()):
@@ -257,11 +305,20 @@ class MixtureDistribution:
             raise BadValueError(
                 f"segments [{los[k - 1]}, {his[k - 1]}] and [{los[k]}, {his[k]}] overlap"
             )
-        counts, den = as_counts(nums + seg_nums, dens + seg_dens)
+        counts, all_dens = nums + seg_nums, dens + seg_dens
+        if all_dens.count(1) == len(all_dens):  # unweighted or integer-weighted
+            den = 1
+        else:
+            den = math.lcm(*all_dens)
+            counts = tuple(n * (den // k) for n, k in zip(counts, all_dens))
         self.__dict__.update(
             _locs=locs, _nums=nums, _dens=dens, _los=los, _his=his, _seg_nums=seg_nums,
-            _seg_dens=seg_dens, _total=Fraction(sum(counts), den),
+            _seg_dens=seg_dens, _counts=counts, _total=Fraction(sum(counts), den),
         )
+
+    # Each fact of a mixture is kept on the very object it describes, never
+    # in a cache keyed on the distribution: -0.0 == 0.0, so such a cache
+    # would hand one mixture's signed zeros to an equal one.
 
     @cached_property
     def atoms(self) -> tuple[Atom, ...]:
@@ -276,6 +333,65 @@ class MixtureDistribution:
         t = self._total
         cols = zip(self._los, self._his, self._seg_nums, self._seg_dens)
         return tuple(UniformSegment(lo, hi, Fraction(n, k) / t) for lo, hi, n, k in cols)
+
+    @cached_property
+    def _breakpoints(self) -> tuple[float, ...]:
+        if not self._los:
+            return self._locs
+        # a set keeps the first of equal values, so an atom's zero names the
+        # landmark, else the first segment end at zero, each lo before its hi
+        return tuple(sorted(set(chain(self._locs, chain.from_iterable(zip(self._los, self._his))))))
+
+    @cached_property
+    def _tables(self) -> _Tables:
+        n, counts = len(self._locs), self._counts
+        los = tuple(map(Fraction, self._los))
+        his = tuple(map(Fraction, self._his))
+        return _Tables(
+            tuple(map(Fraction, self._locs)),
+            los,
+            his,
+            tuple(c / (hi - lo) for c, lo, hi in zip(counts[n:], los, his)),
+            *_sums(counts[:n]),
+            *_sums(counts[n:]),
+            sum(counts),
+        )
+
+    @cached_property
+    def _profile(self) -> _Profile:
+        """The quantile profile, built from the columns and counts.
+
+        The profile's denominator is the sum of the counts, so no mass is
+        normalized.  Without segments (all data) the landmarks are the
+        location column and the CDF the running sum of the counts.  A gap
+        that is a whole segment adds the segment's count; only a segment
+        cut by an atom gives its gaps `Fraction` shares by length, and
+        then every mass is scaled to the common denominator of those
+        shares.
+        """
+        counts = self._counts
+        if not self._los:
+            cdf = tuple(accumulate(counts))
+            return _Profile(self._locs, cdf[-1], cdf, cdf, {})
+        xs = self._breakpoints
+        jump = dict(zip(self._locs, counts))
+        los, his, seg_counts = self._los, self._his, counts[len(self._locs):]
+        masses = []  # the mass at each landmark, then that of the gap after it
+        j = 0  # the first segment ending after the current landmark
+        for x, nxt in zip(xs, xs[1:] + xs[-1:]):
+            masses.append(jump.get(x, 0))
+            while j < len(his) and his[j] <= x:
+                j += 1
+            if j < len(los) and los[j] <= x:  # segment j covers the gap (x, nxt)
+                c = seg_counts[j]
+                if los[j] != x or his[j] != nxt:
+                    c = c * (Fraction(nxt) - Fraction(x)) / (Fraction(his[j]) - Fraction(los[j]))
+                masses.append(c)
+            else:
+                masses.append(0)
+        scale = math.lcm(*(m.denominator for m in masses))
+        cum = tuple(accumulate(m.numerator * (scale // m.denominator) for m in masses))
+        return _Profile(xs, cum[-1], cum[0::2], cum[1::2], {})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: a distribution is immutable")
@@ -295,41 +411,13 @@ class MixtureDistribution:
         return f"MixtureDistribution(atoms={self.atoms!r}, segments={self.segments!r})"
 
 
-def as_counts(nums: Sequence[int], dens: Sequence[int]) -> tuple[Sequence[int], int]:
-    """Masses ``nums[i]/dens[i]`` as integer counts over one common denominator.
-
-    Returns ``(counts, den)``; with every denominator 1 (unweighted or
-    integer-weighted data) the counts are ``nums`` itself.
-    """
-    if dens.count(1) == len(dens):
-        return nums, 1
-    den = math.lcm(*dens)
-    return [n * (den // k) for n, k in zip(nums, dens)], den
-
-
-def stored(fn):
-    """Memoize a function of one distribution on the distribution itself.
-
-    The value is computed on first use and kept in an attribute of the
-    distribution.  A hit is the very object it was computed for, so a
-    distribution never receives a value derived from an equal but
-    different one (``-0.0 == 0.0``, so ``lru_cache`` would mix them up).
-    It serves the library's own repeated queries only (the quantile
-    profile, `dist_fn`'s tables, the breakpoints); callers that reuse
-    some other value of a distribution hold it themselves.
-    """
-    name = f"_{fn.__name__.lstrip('_')}"
-
-    @wraps(fn)
-    def get(d: "MixtureDistribution"):
-        try:
-            return d.__dict__[name]
-        except KeyError:
-            value = fn(d)
-            object.__setattr__(d, name, value)
-            return value
-
-    return get
+def _sums(counts: Sequence[int]) -> tuple[list[int], list[int]]:
+    # cumulative counts from the low end and, summed on their own rather
+    # than derived from those, from the high end
+    below = list(accumulate(counts, initial=0))
+    above = list(accumulate(reversed(counts), initial=0))
+    above.reverse()
+    return below, above
 
 
 class DistFnFlavor(Enum):
@@ -412,60 +500,14 @@ def _pool(
     return tuple(locs), tuple(map(nums.__getitem__, locs)), tuple(dens.get(x, 1) for x in locs)
 
 
-def _sums(counts: Sequence[int], unit: Fraction) -> tuple[list[Fraction], list[Fraction]]:
-    # exact cumulative masses, ``unit`` per count, from the low end and,
-    # summed on their own rather than derived from those, from the high end
-    below = [c * unit for c in accumulate(counts, initial=0)]
-    above = [c * unit for c in accumulate(reversed(counts), initial=0)]
-    above.reverse()
-    return below, above
-
-
-class _Tables(NamedTuple):
-    """What `dist_fn` reads of one distribution, built once.
-
-    ``locs``, ``los`` and ``his`` hold the sorted atom locations and
-    segment ends as Fractions, so an argument converted once bisects them
-    exactly.  Segment interiors are disjoint, so segments sorted by
-    ``lo`` have sorted ``his`` too.  Entry k of a ``*_below`` table is the
-    mass of the first k parts, entry k of an ``*_above`` table that of
-    the parts from k on; left and right flavors read separate tables.
-    """
-
-    locs: tuple[Fraction, ...]
-    los: tuple[Fraction, ...]
-    his: tuple[Fraction, ...]
-    density: tuple[Fraction, ...]  # mass per unit length of each segment
-    atoms_below: list[Fraction]
-    atoms_above: list[Fraction]
-    segments_below: list[Fraction]
-    segments_above: list[Fraction]
-
-
-@stored
-def _tables(d: MixtureDistribution) -> _Tables:
-    los = tuple(map(Fraction, d._los))
-    his = tuple(map(Fraction, d._his))
-    # every mass, atom or segment, a count over one common denominator
-    counts, den = as_counts(d._nums + d._seg_nums, d._dens + d._seg_dens)
-    n, unit = len(d._locs), 1 / (den * d._total)
-    return _Tables(
-        tuple(map(Fraction, d._locs)),
-        los,
-        his,
-        tuple(c * unit / (hi - lo) for c, lo, hi in zip(counts[n:], los, his)),
-        *_sums(counts[:n], unit),
-        *_sums(counts[n:], unit),
-    )
-
-
 def dist_fn(d: MixtureDistribution, flavor: DistFnFlavor, x: ExtendedReal) -> Probability:
     """Evaluate one of the four distribution functions at ``x``, exactly.
 
     ``x`` may be an int, float, Fraction, or +/-infinity; infinite
     arguments return the monotone limit (0 or 1 depending on flavor),
-    and NaN raises BadValueError.  Each call is two bisections plus at
-    most one partial segment.
+    and NaN raises BadValueError.  Each call is two bisections of
+    integer counts plus at most one partial segment, then one exact
+    division by the count total.
     """
     if not isinstance(flavor, DistFnFlavor):
         raise TypeError(f"flavor must be a DistFnFlavor, got {flavor!r}")
@@ -477,7 +519,7 @@ def dist_fn(d: MixtureDistribution, flavor: DistFnFlavor, x: ExtendedReal) -> Pr
         return Fraction(1) if high == left else Fraction(0)
     if not isinstance(x, Fraction):
         x = Fraction.from_float(x)  # an int or a float; unlike Fraction(x), refuses a str
-    t = _tables(d)
+    t = d._tables
     if flavor is DistFnFlavor.LEFT_CLOSED:
         acc = t.atoms_below[bisect_right(t.locs, x)]
     elif flavor is DistFnFlavor.LEFT_OPEN:
@@ -496,7 +538,7 @@ def dist_fn(d: MixtureDistribution, flavor: DistFnFlavor, x: ExtendedReal) -> Pr
         acc += t.segments_above[i]
         if i and x < t.his[i - 1]:  # segment i - 1 straddles x
             acc += t.density[i - 1] * (t.his[i - 1] - x)
-    return acc
+    return Fraction(acc, t.total)
 
 
 def negate(d: MixtureDistribution) -> MixtureDistribution:
@@ -519,14 +561,9 @@ def essential_bounds(d: MixtureDistribution) -> tuple[float, float]:
     return bps[0], bps[-1]
 
 
-@stored
 def breakpoints(d: MixtureDistribution) -> tuple[float, ...]:
     """Sorted distinct support landmarks: atom locations and segment endpoints."""
-    if not d._los:
-        return d._locs
-    # a set keeps the first of equal values, so an atom's zero names the
-    # landmark, else the first segment end at zero, each lo before its hi
-    return tuple(sorted(set(chain(d._locs, chain.from_iterable(zip(d._los, d._his))))))
+    return d._breakpoints
 
 
 def is_continuous(d: MixtureDistribution, flavor: DistFnFlavor) -> bool:
@@ -554,13 +591,9 @@ def is_strictly_monotone_on_hull(d: MixtureDistribution, flavor: DistFnFlavor) -
     """
     if not isinstance(flavor, DistFnFlavor):
         raise TypeError(f"flavor must be a DistFnFlavor, got {flavor!r}")
-    pieces = sorted([(x, x) for x in d._locs] + list(zip(d._los, d._his)))
-    reach = pieces[0][1]
-    for lo, hi in pieces[1:]:
-        if lo > reach:
-            return False
-        reach = max(reach, hi)
-    return True
+    prof = d._profile
+    # F rises across every gap between two landmarks
+    return all(map(operator.lt, prof.cdf, prof.below_next[:-1]))
 
 
 def describe(d: MixtureDistribution) -> str:

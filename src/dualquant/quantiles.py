@@ -3,10 +3,10 @@
 The two generalized inverses of a distribution function differ exactly
 on the flat stretches of F: the left quantile is inf{x : P(X<=x) >= p}
 and the right quantile is inf{x : P(X<=x) > p}.  Both are found by
-bisecting the mixture's exact CDF profile, built once per distribution
-and stored on it, then inverting at most one affine gap, so results on
-atoms are the atom coordinates themselves and results inside segments
-are exact rationals.  Each level costs O(log n).
+bisecting the mixture's exact CDF profile, which the mixture builds
+from its integer counts on first read and keeps, then inverting at most
+one affine gap, so results on atoms are the atom coordinates themselves
+and results inside segments are exact rationals.  Each level costs O(log n).
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
-from math import lcm
-from typing import NamedTuple, Union
+from typing import Union
 
 from .distributions import (
     NEG_INF,
@@ -25,11 +23,9 @@ from .distributions import (
     ExtendedReal,
     MixtureDistribution,
     Probability,
-    as_counts,
+    _Profile,
     as_extended,
     as_level,
-    breakpoints,
-    stored,
 )
 from .errors import BadValueError
 
@@ -70,63 +66,6 @@ class QuantilePair:
         return self.left == self.right
 
 
-class _Profile(NamedTuple):
-    """The exact CDF profile of one distribution, built once.
-
-    ``xs`` are the sorted distinct landmarks (atom locations and segment
-    endpoints); F is affine on each open gap between two of them.  The
-    probabilities are integer numerators over the common denominator
-    ``den``: ``cdf[i]`` is P(X <= xs[i]) and ``below_next[i]`` is
-    P(X < xs[i+1]), i.e. ``cdf[i]`` plus the mass of the gap after
-    ``xs[i]`` (the last entry is ``den``).  ``gaps`` keeps, for each gap
-    a query has landed in, ``(a, b)`` with F(a + b*p) = p there: the
-    exact inverse of the affine F on that gap, built on first use.
-    """
-
-    xs: tuple[float, ...]
-    den: int
-    cdf: tuple[int, ...]
-    below_next: tuple[int, ...]
-    gaps: dict[int, tuple[Fraction, Fraction]]
-
-
-@stored
-def _profile(d: MixtureDistribution) -> _Profile:
-    """The profile of ``d``, built from its columns.
-
-    Every mass goes in as an integer count over the common denominator
-    of all the parts' masses, and ``den`` is the sum of the counts, so no
-    mass is normalized.  Without segments (all data) the landmarks are
-    the location column and the CDF the running sum of the counts.  A
-    gap that is a whole segment adds the segment's count; only a segment
-    cut by an atom gives its gaps `Fraction` shares by length, and then
-    every mass is scaled to the common denominator of those shares.
-    """
-    counts, _ = as_counts(d._nums + d._seg_nums, d._dens + d._seg_dens)
-    if not d._los:
-        cdf = tuple(accumulate(counts))
-        return _Profile(d._locs, cdf[-1], cdf, cdf, {})
-    xs = breakpoints(d)
-    jump = dict(zip(d._locs, counts))
-    los, his, seg_counts = d._los, d._his, counts[len(d._locs):]
-    masses = []  # the mass at each landmark, then that of the gap after it
-    j = 0  # the first segment ending after the current landmark
-    for x, nxt in zip(xs, xs[1:] + xs[-1:]):
-        masses.append(jump.get(x, 0))
-        while j < len(his) and his[j] <= x:
-            j += 1
-        if j < len(los) and los[j] <= x:  # segment j covers the gap (x, nxt)
-            c = seg_counts[j]
-            if los[j] != x or his[j] != nxt:
-                c = c * (Fraction(nxt) - Fraction(x)) / (Fraction(his[j]) - Fraction(los[j]))
-            masses.append(c)
-        else:
-            masses.append(0)
-    scale = lcm(*(m.denominator for m in masses))
-    cum = tuple(accumulate(m.numerator * (scale // m.denominator) for m in masses))
-    return _Profile(xs, cum[-1], cum[0::2], cum[1::2], {})
-
-
 def _invert(prof: _Profile, i: int, p: Probability) -> ExtendedReal:
     # the point of the gap after xs[i] where the affine F reaches p
     try:
@@ -165,7 +104,7 @@ def left_quantile(d: MixtureDistribution, p: LevelLike) -> ExtendedReal:
     Equals -inf at p=0 and the essential supremum (finite) at p=1.
     """
     p = as_level(p)
-    return _lq(_profile(d), p)
+    return _lq(d._profile, p)
 
 
 def right_quantile(d: MixtureDistribution, p: LevelLike) -> ExtendedReal:
@@ -174,7 +113,7 @@ def right_quantile(d: MixtureDistribution, p: LevelLike) -> ExtendedReal:
     Equals the essential infimum (finite) at p=0 and +inf at p=1.
     """
     p = as_level(p)
-    return _rq(_profile(d), p)
+    return _rq(d._profile, p)
 
 
 def quantile_at(d: MixtureDistribution, p: LevelLike, side: QuantileSide) -> ExtendedReal:
@@ -188,5 +127,5 @@ def quantile_at(d: MixtureDistribution, p: LevelLike, side: QuantileSide) -> Ext
 def quantile_pair(d: MixtureDistribution, p: LevelLike) -> QuantilePair:
     """Both quantiles at one level; the pair brackets every valid answer."""
     p = as_level(p)
-    prof = _profile(d)
+    prof = d._profile
     return QuantilePair(left=_lq(prof, p), right=_rq(prof, p), level=p)

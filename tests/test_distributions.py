@@ -240,7 +240,10 @@ class TestConstruction:
         # weights 1/p over 3000 distinct primes: one common denominator
         # for the whole column would have ~40k bits, and normalizing every
         # atom over it takes some twenty seconds; pooled per value, with each
-        # mass divided by the total once, it takes a fraction of one
+        # mass divided by the total once, it takes a fraction of one.
+        # `dist_fn`'s tables hold counts over that denominator, and a call
+        # divides by their total once: normalizing every cumulative count
+        # instead took over ten seconds on the first call
         sieve = [True] * 30_000
         for k in range(2, math.isqrt(30_000) + 1):
             sieve[k * k :: k] = [False] * len(sieve[k * k :: k])
@@ -249,8 +252,20 @@ class TestConstruction:
         t0 = time.perf_counter()
         d = make_empirical([float(p) for p in primes], [f"1/{p}" for p in primes])
         elapsed = time.perf_counter() - t0
-        assert d.atoms[0].mass / d.atoms[-1].mass == Fraction(primes[-1], 2)
         assert elapsed < 3.0, f"{elapsed:.2f} s"
+        t0 = time.perf_counter()
+        dist_fn(d, F_CLOSED, 100.5)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 3.0, f"{elapsed:.2f} s"
+        assert d.atoms[0].mass / d.atoms[-1].mass == Fraction(primes[-1], 2)
+        # the part-by-part sum over thousands of these masses takes seconds,
+        # so each flavor is probed where it counts a short tail
+        low = (1.0, 2.0, 3.0, 100.5)
+        high = (primes[-1] + 1.0, float(primes[-1]), float(primes[-2]), primes[-30] - 0.5)
+        for flavors, xs in (((F_CLOSED, F_OPEN), low), ((G_CLOSED, G_OPEN), high)):
+            for flavor in flavors:
+                for x in xs:
+                    assert dist_fn(d, flavor, x) == dist_fn_by_parts(d, flavor, x), (flavor, x)
 
     def test_rejects_weights_with_huge_exponents(self):
         with pytest.raises(BadWeightError):
@@ -281,6 +296,8 @@ class TestConstruction:
         [
             lambda: Atom(float("inf"), Fraction(1, 2)),
             lambda: Atom(float("nan"), Fraction(1, 2)),
+            lambda: Atom("1.0", Fraction(1, 2)),
+            lambda: make_empirical([1.0, True]),
             lambda: UniformSegment(1.0, 1.0, Fraction(1)),
             lambda: UniformSegment(2.0, 1.0, Fraction(1)),
             lambda: MixtureDistribution(
@@ -681,6 +698,40 @@ class TestShapePredicates:
         for d in (ph_dist, touching_segments, gapped_segments, atom_in_segment):
             assert len({is_continuous(d, fl) for fl in ALL_FLAVORS}) == 1
             assert len({is_strictly_monotone_on_hull(d, fl) for fl in ALL_FLAVORS}) == 1
+
+
+class TestTypeGuards:
+    @pytest.mark.parametrize(
+        "query", [dist_fn, is_continuous, is_strictly_monotone_on_hull], ids=lambda f: f.__name__
+    )
+    @pytest.mark.parametrize("flavor", ["left_closed", None, QuantileSide.LEFT])
+    def test_a_flavor_must_be_a_dist_fn_flavor(self, atom_in_segment, query, flavor):
+        args = (0.5,) if query is dist_fn else ()
+        with pytest.raises(TypeError, match="flavor must be a DistFnFlavor"):
+            query(atom_in_segment, flavor, *args)
+
+    @pytest.mark.parametrize("other", [None, 1, "x", Atom(0.5, 1), (Atom(0.5, 1),)])
+    def test_equality_with_a_non_mixture_is_left_to_the_other_side(self, other):
+        d = make_empirical([0.5])
+        assert d.__eq__(other) is NotImplemented
+        assert d != other and other != d
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            make_empirical([3.0, -0.0, 3.0], ["1/3", 2, "0.25"]),
+            MixtureDistribution(atoms=(Atom(0.5, 1),), segments=(uniform(0, 1, 3),)),
+            MixtureDistribution(segments=(uniform(-1, 0), uniform(0, 2, Fraction(1, 7)))),
+        ],
+        ids=["atoms", "atoms and segments", "segments"],
+    )
+    def test_repr_names_every_part_and_rebuilds_the_mixture(self, d):
+        text = repr(d)
+        assert text == f"MixtureDistribution(atoms={d.atoms!r}, segments={d.segments!r})"
+        names = {"MixtureDistribution": MixtureDistribution, "Atom": Atom,
+                 "UniformSegment": UniformSegment, "Fraction": Fraction}
+        twin = eval(text, names)
+        assert twin == d and repr(twin) == text
 
 
 class TestDescribe:

@@ -104,3 +104,18 @@ except AttributeError as exc:
     print(json.dumps([before, str(exc)]))
 """)
     assert got == [[], "module 'dualquant' has no attribute 'no_such_name'"]
+
+
+def test_importing_the_cli_loads_no_library_module():
+    # the package's own module files are found by name before any
+    # ``__all__`` is read, and ``__main__``, which runs the CLI on import,
+    # is never imported for an attribute
+    got = fresh("""
+import json, sys
+import dualquant
+from dualquant import cli
+loaded = [m for m in sys.modules if m.startswith("dualquant.")]
+print(json.dumps([loaded, cli is sys.modules["dualquant.cli"], hasattr(dualquant, "__main__"),
+                  "dualquant.__main__" in sys.modules]))
+""")
+    assert got == [["dualquant.errors", "dualquant.cli"], True, False, False]

@@ -21,6 +21,7 @@ from dualquant import (
     QuantileVariant,
     UniformSegment,
     affine_map,
+    distributions,
     equivariant_quantile,
     left_quantile,
     make_empirical,
@@ -29,7 +30,6 @@ from dualquant import (
     quantile_at,
     quantile_by_definition,
     quantile_pair,
-    quantiles,
     random_mixture,
     right_quantile,
     standard_levels,
@@ -170,6 +170,11 @@ class TestPairAndDispatch:
         assert quantile_at(ph_dist, "0.2", QuantileSide.LEFT) == left_quantile(ph_dist, "0.2")
         assert quantile_at(ph_dist, "0.2", QuantileSide.RIGHT) == right_quantile(ph_dist, "0.2")
 
+    @pytest.mark.parametrize("side", ["left", None, QuantileVariant.LQ_CLOSED_INF])
+    def test_a_side_must_be_a_quantile_side(self, ph_dist, side):
+        with pytest.raises(TypeError, match="side must be a QuantileSide"):
+            quantile_at(ph_dist, "0.2", side)
+
 
 class TestMirrorIdentity:
     @pytest.mark.parametrize("p", [Fraction(k, 20) for k in range(21)])
@@ -269,8 +274,10 @@ class TestProfileAgainstDefinition:
 class TestProfileStorage:
     def test_profile_is_built_once_and_reused(self, monkeypatch):
         built = []
-        real = quantiles._Profile
-        monkeypatch.setattr(quantiles, "_Profile", lambda *cols: built.append(cols) or real(*cols))
+        real = distributions._Profile
+        monkeypatch.setattr(
+            distributions, "_Profile", lambda *cols: built.append(cols) or real(*cols)
+        )
         d = make_empirical([3.0, 1.0, 2.0, 2.0, 5.0])
         left_quantile(d, "0.3")
         right_quantile(d, "0.3")
@@ -298,7 +305,7 @@ class TestProfileStorage:
             atoms=(Atom(1.0, 1),),
             segments=(UniformSegment(0.0, 2.0, 2), UniformSegment(3.0, 4.0, 1)),
         )
-        prof = quantiles._profile(d)
+        prof = d._profile
         assert prof.gaps == {}
         assert quantile_pair(d, Fraction(1, 8)) == QuantilePair(0.5, 0.5, Fraction(1, 8))
         assert quantile_pair(d, Fraction(1, 16)) == QuantilePair(0.25, 0.25, Fraction(1, 16))

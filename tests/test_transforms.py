@@ -22,6 +22,8 @@ from dualquant import (
     MixtureDistribution,
     PiecewiseMonotoneMap,
     QuantileSide,
+    SmoothKind,
+    SmoothMonotoneMap,
     UniformSegment,
     UnsupportedPushforwardError,
     affine_map,
@@ -177,6 +179,40 @@ class TestMapValidation:
     def test_rejects_degenerate_piece(self):
         with pytest.raises(MapSpecError):
             MapPiece(1.0, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: PiecewiseMonotoneMap((), ND), "needs at least one piece"),
+            (lambda: PiecewiseMonotoneMap((MapPiece(-INF, INF, 1.0, 0.0),), "non_decreasing"),
+             "bad direction 'non_decreasing'"),
+            (lambda: PiecewiseMonotoneMap(
+                (MapPiece(-INF, 0.0, 1.0, 0.0), MapPiece(0.0, INF, 1.0, 0.0)), ND, ("left",)),
+             "continuity flags must be Continuity values"),
+            (lambda: SmoothMonotoneMap("pow10neg"), "bad smooth map kind 'pow10neg'"),
+        ],
+        ids=["no pieces", "direction", "continuity flag", "smooth kind"],
+    )
+    def test_rejects_parts_of_the_wrong_type(self, build, message):
+        with pytest.raises(MapSpecError, match=message):
+            build()
+
+
+class TestTypeGuards:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: apply_map("negation", 1.0), "not a monotone map: 'negation'"),
+            (lambda: pushforward(unit_uniform(), SmoothKind.POW10_NEG), "not a monotone map"),
+            (lambda: map_to_spec({"kind": "negation"}), "not a monotone map"),
+            (lambda: equivariant_quantile(unit_uniform(), negation_map(), "0.5", "left"),
+             "side must be a QuantileSide"),
+        ],
+        ids=["apply_map", "pushforward", "map_to_spec", "equivariant_quantile"],
+    )
+    def test_an_argument_of_the_wrong_type_is_refused(self, call, message):
+        with pytest.raises(TypeError, match=message):
+            call()
 
 
 class TestPushforward:

@@ -103,6 +103,11 @@ class TestScanOracle:
     def test_there_are_three_variants_per_side(self):
         assert len(LQ_VARIANTS) == 3 and len(RQ_VARIANTS) == 3
 
+    @pytest.mark.parametrize("variant", ["lq_closed_inf", None, DistFnFlavor.LEFT_CLOSED])
+    def test_a_variant_must_be_a_quantile_variant(self, ph_dist, variant):
+        with pytest.raises(TypeError, match="variant must be a QuantileVariant"):
+            quantile_by_definition(ph_dist, "0.5", variant)
+
 
 def reference_fixed_cells(d):
     # hull probes, breakpoints and midpoints, each with P(X<=x) and P(X<x)
@@ -224,8 +229,8 @@ class TestVerifierStoresNothing:
         check_quantile_properties(d, p)
         check_symmetry(d, p)
         assert set(vars(d)) == {
-            "_locs", "_nums", "_dens", "_los", "_his", "_seg_nums", "_seg_dens", "_total",
-            "atoms", "_tables", "_profile", "_breakpoints",
+            "_locs", "_nums", "_dens", "_los", "_his", "_seg_nums", "_seg_dens", "_counts",
+            "_total", "atoms", "_tables", "_profile", "_breakpoints",
         }
 
 
