@@ -200,12 +200,12 @@ class _Tables(NamedTuple):
     ``locs``, ``los`` and ``his`` hold the sorted atom locations and
     segment ends as Fractions, so an argument converted once bisects them
     exactly.  Segment interiors are disjoint, so segments sorted by
-    ``lo`` have sorted ``his`` too.  Every mass is an integer count of
-    the mixture's ``_counts``, and ``total`` is their sum.  Entry k of a
-    ``*_below`` table is the count of the first k parts, entry k of an
-    ``*_above`` table that of the parts from k on, summed on its own
-    rather than derived from the other; left and right flavors read
-    separate tables.
+    ``lo`` have sorted ``his`` too.  Every mass is a count of the
+    mixture's count column, never normalized; `dist_fn` divides by the
+    mixture's count total.  Entry k of a ``*_below`` table is the count
+    of the first k parts, entry k of an ``*_above`` table that of the
+    parts from k on, summed on its own rather than derived from the
+    other; left and right flavors read separate tables.
     """
 
     locs: tuple[Fraction, ...]
@@ -216,7 +216,6 @@ class _Tables(NamedTuple):
     atoms_above: list[int]
     segments_below: list[int]
     segments_above: list[int]
-    total: int
 
 
 class _Profile(NamedTuple):
@@ -243,35 +242,31 @@ class MixtureDistribution:
     """A finite mixture of atoms and uniform segments with total mass 1.
 
     Both kinds of part are kept as sorted columns: the atoms' float
-    locations, the segments' float ends ``lo`` and ``hi``, and for each
-    part its mass as a positive integer numerator and denominator, as
-    given or pooled, not yet normalized.  One exact total of every mass
-    normalizes them all.  Every mass is also kept as an integer count
-    over one common denominator, the atoms' then the segments', in
-    ``_counts``.  Construction canonicalizes: parts are sorted, duplicate
-    atom locations and overlapping segment interiors are rejected.
-    Touching segments (one ending where the next begins) and atoms
-    sitting inside or on segments are all legal.
+    locations, the segments' float ends ``lo`` and ``hi``, and one count
+    column ``_counts``, the atoms' then the segments': each mass as a
+    positive integer count over one common denominator, normalized only
+    when read, by their int sum ``_total``.  Construction canonicalizes:
+    parts are sorted, duplicate atom locations and overlapping segment
+    interiors are rejected.  Touching segments (one ending where the next
+    begins) and atoms sitting inside or on segments are all legal.
 
     ``atoms`` and ``segments`` are built from the columns on first read,
-    each mass as its numerator over its denominator divided by the
-    total; `negate` and `pushforward` read the columns instead.  The
-    breakpoints, `dist_fn`'s tables and the quantile profile are built
-    from the columns and counts on first read, and kept.  Equality and
-    hashing compare the normalized atoms and segments.
+    each mass as its count over the total; `negate` and `pushforward`
+    read the columns instead.  The breakpoints, `dist_fn`'s tables and
+    the quantile profile are built from the columns on first read, and
+    kept.  Equality compares the columns and the normalized masses;
+    hashing hashes the normalized atoms and segments.
     """
 
     def __init__(self, atoms: Iterable[Atom] = (), segments: Iterable[UniformSegment] = ()):
         atoms = sorted(atoms, key=lambda a: a.location)
         segments = sorted(segments, key=lambda s: (s.lo, s.hi))
+        masses = [p.mass for p in chain(atoms, segments)]
         self._set_columns(
             tuple(a.location for a in atoms),
-            tuple(a.mass.numerator for a in atoms),
-            tuple(a.mass.denominator for a in atoms),
+            _common_counts([m.numerator for m in masses], [m.denominator for m in masses]),
             tuple(s.lo for s in segments),
             tuple(s.hi for s in segments),
-            tuple(s.mass.numerator for s in segments),
-            tuple(s.mass.denominator for s in segments),
         )
 
     @classmethod
@@ -282,11 +277,9 @@ class MixtureDistribution:
         d._set_columns(*columns, what=what)
         return d
 
-    def _set_columns(
-        self, locs, nums, dens, los=(), his=(), seg_nums=(), seg_dens=(), what="atom location"
-    ):
+    def _set_columns(self, locs, counts, los=(), his=(), what="atom location"):
         # ``locs`` sorted; segments sorted by ``lo``, each with finite ends
-        # ``lo < hi``; every ``nums``/``dens``/``seg_*`` entry a positive int
+        # ``lo < hi``; ``counts`` positive ints, the atoms' then the segments'
         if not locs and not los:
             raise EmptyDataError("a distribution needs at least one atom or segment")
         # one pass: sorted locations that strictly increase hold no nan,
@@ -305,16 +298,7 @@ class MixtureDistribution:
             raise BadValueError(
                 f"segments [{los[k - 1]}, {his[k - 1]}] and [{los[k]}, {his[k]}] overlap"
             )
-        counts, all_dens = nums + seg_nums, dens + seg_dens
-        if all_dens.count(1) == len(all_dens):  # unweighted or integer-weighted
-            den = 1
-        else:
-            den = math.lcm(*all_dens)
-            counts = tuple(n * (den // k) for n, k in zip(counts, all_dens))
-        self.__dict__.update(
-            _locs=locs, _nums=nums, _dens=dens, _los=los, _his=his, _seg_nums=seg_nums,
-            _seg_dens=seg_dens, _counts=counts, _total=Fraction(sum(counts), den),
-        )
+        self.__dict__.update(_locs=locs, _los=los, _his=his, _counts=counts, _total=sum(counts))
 
     # Each fact of a mixture is kept on the very object it describes, never
     # in a cache keyed on the distribution: -0.0 == 0.0, so such a cache
@@ -324,15 +308,14 @@ class MixtureDistribution:
     def atoms(self) -> tuple[Atom, ...]:
         """The atoms in location order, with normalized masses; built on first read."""
         t = self._total
-        cols = zip(self._locs, self._nums, self._dens)
-        return tuple(Atom(x, Fraction(n, k) / t) for x, n, k in cols)
+        return tuple(Atom(x, Fraction(c, t)) for x, c in zip(self._locs, self._counts))
 
     @cached_property
     def segments(self) -> tuple[UniformSegment, ...]:
         """The segments in order, with normalized masses; built on first read."""
         t = self._total
-        cols = zip(self._los, self._his, self._seg_nums, self._seg_dens)
-        return tuple(UniformSegment(lo, hi, Fraction(n, k) / t) for lo, hi, n, k in cols)
+        cols = zip(self._los, self._his, self._counts[len(self._locs) :])
+        return tuple(UniformSegment(lo, hi, Fraction(c, t)) for lo, hi, c in cols)
 
     @cached_property
     def _breakpoints(self) -> tuple[float, ...]:
@@ -354,7 +337,6 @@ class MixtureDistribution:
             tuple(c / (hi - lo) for c, lo, hi in zip(counts[n:], los, his)),
             *_sums(counts[:n]),
             *_sums(counts[n:]),
-            sum(counts),
         )
 
     @cached_property
@@ -402,13 +384,27 @@ class MixtureDistribution:
     def __eq__(self, other):
         if not isinstance(other, MixtureDistribution):
             return NotImplemented
-        return self.atoms == other.atoms and self.segments == other.segments
+        # the same columns, and masses in proportion (c/t == k/u for each
+        # part), tested without reducing a count over its total
+        if (self._locs, self._los, self._his) != (other._locs, other._los, other._his):
+            return False
+        g = math.gcd(self._total, other._total)
+        t, u = self._total // g, other._total // g
+        return all(c * u == k * t for c, k in zip(self._counts, other._counts))
 
     def __hash__(self):
         return hash((self.atoms, self.segments))
 
     def __repr__(self):
         return f"MixtureDistribution(atoms={self.atoms!r}, segments={self.segments!r})"
+
+
+def _common_counts(nums: Sequence[int], dens: Sequence[int]) -> tuple[int, ...]:
+    """The masses ``nums[i]/dens[i]`` as integer counts over their least common denominator."""
+    if dens.count(1) == len(dens):  # unweighted or integer-weighted
+        return tuple(nums)
+    den = math.lcm(*dens)
+    return tuple(n * (den // k) for n, k in zip(nums, dens))
 
 
 def _sums(counts: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -443,8 +439,8 @@ def make_empirical(
     Without weights every observation counts 1; explicit weights must
     be positive, and an ``int`` or `Fraction` weight is taken as it is.
     `_pool` pools them, the same routine that pools a pushforward's
-    images, and its counts go straight into the mixture's sorted
-    columns, which the mass total normalizes; no `Atom` is built.
+    images, and its masses become the mixture's count column over one
+    common denominator; no `Atom` is built.
     """
     values = list(values)
     if not values:
@@ -455,7 +451,8 @@ def make_empirical(
     if set(map(type, values)) != {float}:
         values = [_finite_float(v, "data value") for v in values]
     # Non-finite floats are refused by the mixture, once per distinct value.
-    return MixtureDistribution._of_columns(*_pool(values, ws), what="data value")
+    locs, nums, dens = _pool(values, ws)
+    return MixtureDistribution._of_columns(locs, _common_counts(nums, dens), what="data value")
 
 
 def _pool(
@@ -538,20 +535,19 @@ def dist_fn(d: MixtureDistribution, flavor: DistFnFlavor, x: ExtendedReal) -> Pr
         acc += t.segments_above[i]
         if i and x < t.his[i - 1]:  # segment i - 1 straddles x
             acc += t.density[i - 1] * (t.his[i - 1] - x)
-    return Fraction(acc, t.total)
+    return Fraction(acc, d._total)
 
 
 def negate(d: MixtureDistribution) -> MixtureDistribution:
     """The distribution of -X.  Involutive: negate(negate(d)) == d."""
-    # every column reversed, the segments' ends swapped
+    # every column reversed, the segments' ends swapped; the counts keep
+    # their common denominator
+    n, counts = len(d._locs), d._counts
     return MixtureDistribution._of_columns(
         tuple(-x for x in reversed(d._locs)),
-        d._nums[::-1],
-        d._dens[::-1],
+        counts[:n][::-1] + counts[n:][::-1],
         tuple(-x for x in reversed(d._his)),
         tuple(-x for x in reversed(d._los)),
-        d._seg_nums[::-1],
-        d._seg_dens[::-1],
     )
 
 
@@ -598,9 +594,9 @@ def is_strictly_monotone_on_hull(d: MixtureDistribution, flavor: DistFnFlavor) -
 
 def describe(d: MixtureDistribution) -> str:
     """Compact human-readable summary, e.g. ``atoms{0: 1/2} + U[1, 2]: 1/2``."""
-    t = d._total
-    inner = [f"{x:g}: {Fraction(n, k) / t}" for x, n, k in zip(d._locs, d._nums, d._dens)]
+    t, n = d._total, len(d._locs)
+    inner = [f"{x:g}: {Fraction(c, t)}" for x, c in zip(d._locs, d._counts)]
     bits = ["atoms{" + ", ".join(inner) + "}"] if inner else []
-    segs = zip(d._los, d._his, d._seg_nums, d._seg_dens)
-    bits.extend(f"U[{lo:g}, {hi:g}]: {Fraction(n, k) / t}" for lo, hi, n, k in segs)
+    segs = zip(d._los, d._his, d._counts[n:])
+    bits.extend(f"U[{lo:g}, {hi:g}]: {Fraction(c, t)}" for lo, hi, c in segs)
     return " + ".join(bits)

@@ -25,6 +25,7 @@ from .distributions import (
     ExtendedReal,
     MixtureDistribution,
     UniformSegment,
+    _common_counts,
     _pool,
     as_extended,
     as_level,
@@ -296,16 +297,17 @@ def pushforward(d: MixtureDistribution, m: MonotoneMap) -> MixtureDistribution:
     neglog10) accept only atom-only distributions, since they would bend
     a uniform segment into a non-uniform law this model cannot represent.
 
-    The image is built from ``d``'s columns the way `make_empirical`
-    builds data, with every mass unnormalized, so the image has the same
-    total: the mapped location column, then the collapsed parts, are
-    pooled by `_pool`, so colliding images add up and the first of
+    The image is built from ``d``'s columns as `make_empirical` builds
+    data: `_pool` pools the mapped atoms with their counts, then the
+    collapsed parts, so colliding images add up and the first of
     ``-0.0`` and ``0.0`` names the atom; image segments go into segment
-    columns.  A part that is a whole segment carries the segment's own
-    mass, and only a segment cut by a breakpoint gives its parts a
-    `Fraction` share.  No `Atom` or `UniformSegment` is built.
+    columns.  A part that is a whole segment carries the segment's
+    count, and only a segment cut by a breakpoint gives its parts a
+    `Fraction` share; every mass then becomes a count over one common
+    denominator.  No `Atom` or `UniformSegment` is built.
     """
-    ws = [n if k == 1 else Fraction(n, k) for n, k in zip(d._nums, d._dens)]
+    n = len(d._locs)
+    ws = list(d._counts[:n])
     segs = []  # (lo, hi, numerator, denominator) of each image segment
     if isinstance(m, SmoothMonotoneMap):
         # the curved kinds keep exactness only for purely atomic distributions
@@ -318,14 +320,13 @@ def pushforward(d: MixtureDistribution, m: MonotoneMap) -> MixtureDistribution:
     elif isinstance(m, PiecewiseMonotoneMap):
         ys = [_apply_piecewise(m, x) for x in d._locs]
         bs = m.breakpoints
-        for lo, hi, n, k in zip(d._los, d._his, d._seg_nums, d._seg_dens):
+        for lo, hi, count in zip(d._los, d._his, d._counts[n:]):
             # split at the map's breakpoints inside (lo, hi); part j rides piece i + j
             i = bisect_right(bs, lo)
             cuts = [lo, *bs[i : bisect_left(bs, hi)], hi]
-            mass = n if k == 1 else Fraction(n, k)
-            density = mass / (Fraction(hi) - Fraction(lo)) if len(cuts) > 2 else None
+            density = count / (Fraction(hi) - Fraction(lo)) if len(cuts) > 2 else None
             for u, v, piece in zip(cuts, cuts[1:], m.pieces[i:]):
-                part = mass if density is None else density * (Fraction(v) - Fraction(u))
+                part = count if density is None else density * (Fraction(v) - Fraction(u))
                 if piece.slope == 0:  # the intercept exactly, signed zero included
                     a = b = piece.intercept
                 else:
@@ -341,7 +342,10 @@ def pushforward(d: MixtureDistribution, m: MonotoneMap) -> MixtureDistribution:
     if not all(map(math.isfinite, chain(ys, (y for seg in segs for y in seg[:2])))):
         raise MapDomainError("the map sends a finite value past the float range")
     segs.sort()  # in order already, or reversed by a non-increasing map
-    return MixtureDistribution._of_columns(*_pool(ys, ws), *zip(*segs))
+    locs, nums, dens = _pool(ys, ws)
+    los, his, seg_nums, seg_dens = zip(*segs) if segs else ((),) * 4
+    counts = _common_counts(nums + seg_nums, dens + seg_dens)
+    return MixtureDistribution._of_columns(locs, counts, los, his)
 
 
 def equivariant_quantile(

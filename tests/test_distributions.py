@@ -55,6 +55,25 @@ def uniform(lo, hi, mass=Fraction(1)):
     return UniformSegment(float(lo), float(hi), mass)
 
 
+def flat_map(a, b):
+    """x up to ``a``, ``a`` on [a, b], x - (b - a) above: continuous and
+    non-decreasing, and flat on [a, b]."""
+    return PiecewiseMonotoneMap(
+        (MapPiece(NEG_INF, a, 1.0, 0.0), MapPiece(a, b, 0.0, a), MapPiece(b, POS_INF, 1.0, a - b)),
+        Direction.NON_DECREASING,
+        (Continuity.LEFT, Continuity.LEFT),
+    )
+
+
+def first_primes(k):
+    sieve = [True] * 30_000
+    for j in range(2, math.isqrt(30_000) + 1):
+        sieve[j * j :: j] = [False] * len(sieve[j * j :: j])
+    primes = [j for j in range(2, 30_000) if sieve[j]][:k]
+    assert len(primes) == k
+    return primes
+
+
 @pytest.fixture
 def touching_segments():
     return MixtureDistribution(
@@ -237,18 +256,13 @@ class TestConstruction:
         assert atoms_of(make_empirical(values)) == fraction_sum_atoms(values, None)
 
     def test_pooling_many_denominators_stays_fast(self):
-        # weights 1/p over 3000 distinct primes: one common denominator
-        # for the whole column would have ~40k bits, and normalizing every
-        # atom over it takes some twenty seconds; pooled per value, with each
-        # mass divided by the total once, it takes a fraction of one.
+        # weights 1/p over 3000 distinct primes: their common denominator
+        # has ~40k bits.  Pooled per value, and with no mass normalized,
+        # `make_empirical` takes a fraction of a second.
         # `dist_fn`'s tables hold counts over that denominator, and a call
         # divides by their total once: normalizing every cumulative count
         # instead took over ten seconds on the first call
-        sieve = [True] * 30_000
-        for k in range(2, math.isqrt(30_000) + 1):
-            sieve[k * k :: k] = [False] * len(sieve[k * k :: k])
-        primes = [k for k in range(2, 30_000) if sieve[k]][:3000]
-        assert len(primes) == 3000
+        primes = first_primes(3000)
         t0 = time.perf_counter()
         d = make_empirical([float(p) for p in primes], [f"1/{p}" for p in primes])
         elapsed = time.perf_counter() - t0
@@ -502,20 +516,55 @@ class TestColumns:
         assert hash(make_empirical([1.0, 1.0])) == hash(make_empirical([1.0]))
         assert make_empirical([1.0, 1.0]) != make_empirical([1.0, 2.0])
 
+    def test_equality_compares_masses_in_proportion(self):
+        # equal parts over different totals are equal; other masses are not
+        assert make_empirical([1.0, 2.0], [2, 6]) == make_empirical([1.0, 2.0], [1, 3])
+        assert make_empirical([1.0, 2.0], [1, 3]) != make_empirical([1.0, 2.0])
+        halves = MixtureDistribution(segments=(uniform(0, 1), uniform(1, 2)))
+        assert halves == MixtureDistribution(
+            segments=(uniform(0, 1, Fraction(1, 3)), uniform(1, 2, Fraction(1, 3)))
+        )
+        assert halves != MixtureDistribution(segments=(uniform(0, 1, 2), uniform(1, 2)))
+
     @pytest.mark.parametrize(
         "d",
         [
             make_empirical([3.0, 1.0, 3.0, -2.5]),
             make_empirical([3.0, 1.0, 3.0], [2, 5, 7]),
             make_empirical([3.0, 1.0, 3.0], ["1/3", 5, Fraction(2, 7)]),
+            make_empirical([3.0, 1.0, 3.0], [Fraction(1, 3), Fraction(5, 2), Fraction(2, 7)]),
             random_mixture(GeneratorConfig(seed=11)),
+            negate(random_mixture(GeneratorConfig(seed=11))),
+            pushforward(random_mixture(GeneratorConfig(seed=11)), affine_map(-3.0, 0.5)),
+            # cuts both segments; 1.5 and the flat parts collide at 0.3
+            pushforward(
+                MixtureDistribution(
+                    atoms=(Atom(1.5, Fraction(1, 2)),),
+                    segments=(uniform(0, 1, Fraction(1, 3)), uniform(1, 3)),
+                ),
+                flat_map(0.3, 2.0),
+            ),
         ],
-        ids=["unweighted", "int weights", "exact weights", "atoms and segments"],
+        ids=[
+            "unweighted",
+            "int weights",
+            "exact weights",
+            "Fraction weights",
+            "atoms and segments",
+            "negation",
+            "affine image",
+            "flat image",
+        ],
     )
     def test_the_public_constructor_rebuilds_an_equal_mixture(self, d):
         twin = MixtureDistribution(atoms=d.atoms, segments=d.segments)
         assert twin == d and hash(twin) == hash(d)
         assert sum(a.mass for a in d.atoms) + sum(s.mass for s in d.segments) == 1
+        # one count column holds every mass, normalized by its int total
+        for m in (d, twin):
+            assert type(m._total) is int and m._total == sum(m._counts)
+            masses = [p.mass for p in m.atoms + m.segments]
+            assert [Fraction(c, m._total) for c in m._counts] == masses
 
     @pytest.mark.parametrize("kind", EMPIRICAL_KINDS)
     @pytest.mark.parametrize("zero", [0.0, -0.0])
@@ -536,16 +585,7 @@ class TestColumns:
         breakpoints(d)
         describe(d)
         pushforward(d, affine_map(-3.0, 0.5))
-        flat = PiecewiseMonotoneMap(
-            (
-                MapPiece(NEG_INF, 0.0, 1.0, 0.0),
-                MapPiece(0.0, 1.5, 0.0, 0.0),
-                MapPiece(1.5, POS_INF, 1.0, -1.5),
-            ),
-            Direction.NON_DECREASING,
-            (Continuity.LEFT, Continuity.LEFT),
-        )
-        push = pushforward(d, flat)  # 0.5 and 1.0 collide at 0.0
+        push = pushforward(d, flat_map(0.0, 1.5))  # 0.5 and 1.0 collide at 0.0
         # a routed value one step off an atom of the image must match it bit for bit
         direct, verdict = check_transport(push, "0.1", QuantileSide.LEFT, math.nextafter(0.0, 1.0))
         assert (direct, verdict) == (0.0, Transport.UNEQUAL)
@@ -568,16 +608,7 @@ class TestColumns:
         nd = negate(d)
         quantile_pair(nd, "0.7")
         breakpoints(d)
-        flat = PiecewiseMonotoneMap(
-            (
-                MapPiece(NEG_INF, 0.5, 1.0, 0.0),
-                MapPiece(0.5, 2.0, 0.0, 0.5),
-                MapPiece(2.0, POS_INF, 1.0, -1.5),
-            ),
-            Direction.NON_DECREASING,
-            (Continuity.LEFT, Continuity.LEFT),
-        )
-        for m in (affine_map(-3.0, 0.5), flat):
+        for m in (affine_map(-3.0, 0.5), flat_map(0.5, 2.0)):
             quantile_pair(pushforward(d, m), "0.5")
         assert built == [] and "segments" not in vars(d)
         segments = d.segments  # built on first read, with normalized masses
@@ -636,6 +667,26 @@ class TestNegate:
         neg_zero = make_empirical([-0.0, 1.0])
         assert math.copysign(1.0, negate(pos_zero).atoms[1].location) == -1.0
         assert math.copysign(1.0, negate(neg_zero).atoms[1].location) == 1.0
+
+    def test_reverses_the_counts_over_their_common_denominator(self, monkeypatch):
+        # weights 1/p over 3000 primes give the counts a ~40k-bit common
+        # denominator; the negation keeps it rather than rebuilding it
+        primes = first_primes(3000)
+        d = MixtureDistribution(
+            atoms=[Atom(float(p), Fraction(1, p)) for p in primes[::2]],
+            segments=[uniform(p + 0.25, p + 0.75, Fraction(1, p)) for p in primes[1::2]],
+        )
+
+        def no_lcm(*args):
+            raise AssertionError("negate rebuilt a common denominator")
+
+        monkeypatch.setattr(distributions.math, "lcm", no_lcm)
+        nd = negate(d)
+        nnd = negate(nd)
+        monkeypatch.undo()
+        n = len(d._locs)
+        assert nd._counts == d._counts[:n][::-1] + d._counts[n:][::-1]
+        assert nnd == d
 
     def test_each_call_builds_an_equal_distribution(self, ph_dist):
         assert negate(ph_dist) == negate(ph_dist)

@@ -229,8 +229,8 @@ class TestVerifierStoresNothing:
         check_quantile_properties(d, p)
         check_symmetry(d, p)
         assert set(vars(d)) == {
-            "_locs", "_nums", "_dens", "_los", "_his", "_seg_nums", "_seg_dens", "_counts",
-            "_total", "atoms", "_tables", "_profile", "_breakpoints",
+            "_locs", "_los", "_his", "_counts", "_total",
+            "atoms", "_tables", "_profile", "_breakpoints",
         }
 
 
