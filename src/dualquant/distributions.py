@@ -255,7 +255,7 @@ class MixtureDistribution:
     read the columns instead.  The breakpoints, `dist_fn`'s tables and
     the quantile profile are built from the columns on first read, and
     kept.  Equality compares the columns and the normalized masses;
-    hashing hashes the normalized atoms and segments.
+    hashing hashes the location columns alone.
     """
 
     def __init__(self, atoms: Iterable[Atom] = (), segments: Iterable[UniformSegment] = ()):
@@ -393,7 +393,8 @@ class MixtureDistribution:
         return all(c * u == k * t for c, k in zip(self._counts, other._counts))
 
     def __hash__(self):
-        return hash((self.atoms, self.segments))
+        # equal mixtures have equal columns, and hash(-0.0) == hash(0.0)
+        return hash((self._locs, self._los, self._his))
 
     def __repr__(self):
         return f"MixtureDistribution(atoms={self.atoms!r}, segments={self.segments!r})"

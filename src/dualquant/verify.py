@@ -616,31 +616,27 @@ def stock_maps() -> tuple[tuple[str, MonotoneMap], ...]:
 # seeded random corpus
 
 
+# the shape of every corpus mixture: up to 4 atoms and 3 segments on the
+# 33-point lattice over the location range, with masses k/16
+_MAX_ATOMS = 4
+_MAX_SEGMENTS = 3
+_MASS_GRANULARITY = 16
+_LATTICE_STEPS = 32
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Shape parameters for the seeded mixture generator."""
+    """The seed and location range of the seeded mixture generator."""
 
     seed: int = 0
-    max_atoms: int = 4
-    max_segments: int = 3
     location_range: tuple[float, float] = (-4.0, 4.0)
-    mass_granularity: int = 16
 
     def __post_init__(self):
-        if self.max_atoms < 0 or self.max_segments < 0:
-            raise ValueError("max_atoms and max_segments must be >= 0")
-        if self.max_atoms + self.max_segments < 1:
-            raise ValueError("the generator needs room for at least one component")
         lo, hi = self.location_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"bad location range {self.location_range!r}")
         if len(set(_lattice(self))) <= _LATTICE_STEPS:
             raise ValueError(f"location range {self.location_range!r} has too few distinct floats")
-        if self.mass_granularity < 1:
-            raise ValueError("mass_granularity must be >= 1")
-
-
-_LATTICE_STEPS = 32
 
 
 def _lattice(cfg: GeneratorConfig) -> list[float]:
@@ -649,11 +645,11 @@ def _lattice(cfg: GeneratorConfig) -> list[float]:
     return [float(lo + (hi - lo) * k / _LATTICE_STEPS) for k in range(_LATTICE_STEPS + 1)]
 
 
-def _rand_mass(rng: random.Random, cfg: GeneratorConfig) -> Fraction:
-    return Fraction(rng.randint(1, cfg.mass_granularity), cfg.mass_granularity)
+def _rand_mass(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(1, _MASS_GRANULARITY), _MASS_GRANULARITY)
 
 
-def _rand_segments(rng, cfg, lat, indices, count):
+def _rand_segments(rng, lat, indices, count):
     # pair sorted distinct lattice indices into disjoint segments, then
     # fuse some junctions so touching segments occur with real frequency
     idxs = sorted(rng.sample(indices, 2 * count))
@@ -661,11 +657,11 @@ def _rand_segments(rng, cfg, lat, indices, count):
     for j in range(1, count):
         if rng.random() < 0.35:
             pairs[j] = (pairs[j - 1][1], pairs[j][1])
-    return [UniformSegment(lat[a], lat[b], _rand_mass(rng, cfg)) for a, b in pairs]
+    return [UniformSegment(lat[a], lat[b], _rand_mass(rng)) for a, b in pairs]
 
 
-def _rand_atoms(rng, cfg, lat, indices, count):
-    return [Atom(lat[i], _rand_mass(rng, cfg)) for i in rng.sample(indices, count)]
+def _rand_atoms(rng, lat, indices, count):
+    return [Atom(lat[i], _rand_mass(rng)) for i in rng.sample(indices, count)]
 
 
 def random_mixture(cfg: GeneratorConfig) -> MixtureDistribution:
@@ -679,56 +675,33 @@ def random_mixture(cfg: GeneratorConfig) -> MixtureDistribution:
     """
     rng = random.Random(cfg.seed)
     lat = _lattice(cfg)
-    all_idx = list(range(len(lat)))
-    can_atom = cfg.max_atoms >= 1
-    can_seg = cfg.max_segments >= 1
+    all_idx = range(len(lat))
 
     roll = rng.random()
-    if roll < 0.05 and can_atom:
-        mode = "single_atom"
-    elif roll < 0.10 and can_seg:
-        mode = "atom_free"
-    elif roll < 0.15 and (cfg.max_atoms + cfg.max_segments >= 2 or can_seg):
-        mode = "gapped"
-    else:
-        mode = "generic"
-
-    if mode == "single_atom":
+    if roll < 0.05:  # a single atom
         return MixtureDistribution(atoms=(Atom(lat[rng.choice(all_idx)], Fraction(1)),))
 
-    if mode == "atom_free":
-        count = rng.randint(1, cfg.max_segments)
-        return MixtureDistribution(segments=tuple(_rand_segments(rng, cfg, lat, all_idx, count)))
+    if roll < 0.10:  # atom-free
+        count = rng.randint(1, _MAX_SEGMENTS)
+        return MixtureDistribution(segments=tuple(_rand_segments(rng, lat, all_idx, count)))
 
-    if mode == "gapped":
-        # one component on each side of an interior hole
+    if roll < 0.15:  # gapped: one component on each side of an interior hole
         g1 = rng.randint(8, _LATTICE_STEPS // 2)
         g2 = g1 + rng.randint(2, 4)
-        left_idx = list(range(0, g1 + 1))
-        right_idx = list(range(g2, _LATTICE_STEPS + 1))
-        atoms: list[Atom] = []
-        segments: list[UniformSegment] = []
-        budget_atoms = cfg.max_atoms
-        budget_segs = cfg.max_segments
-        for side_idx in (left_idx, right_idx):
-            use_seg = budget_segs > 0 and (budget_atoms == 0 or rng.random() < 0.5)
-            if use_seg:
-                segments.extend(_rand_segments(rng, cfg, lat, side_idx, 1))
-                budget_segs -= 1
+        atoms, segments = [], []
+        for side_idx in (range(g1 + 1), range(g2, _LATTICE_STEPS + 1)):
+            if rng.random() < 0.5:
+                segments.extend(_rand_segments(rng, lat, side_idx, 1))
             else:
-                atoms.extend(_rand_atoms(rng, cfg, lat, side_idx, 1))
-                budget_atoms -= 1
+                atoms.extend(_rand_atoms(rng, lat, side_idx, 1))
         return MixtureDistribution(atoms=tuple(atoms), segments=tuple(segments))
 
-    n_atoms = rng.randint(0, cfg.max_atoms)
-    n_segs = rng.randint(0, cfg.max_segments)
+    n_atoms = rng.randint(0, _MAX_ATOMS)
+    n_segs = rng.randint(0, _MAX_SEGMENTS)
     if n_atoms == 0 and n_segs == 0:
-        if can_atom:
-            n_atoms = 1
-        else:
-            n_segs = 1
-    segments = _rand_segments(rng, cfg, lat, all_idx, n_segs) if n_segs else []
-    atoms = _rand_atoms(rng, cfg, lat, all_idx, n_atoms) if n_atoms else []
+        n_atoms = 1
+    segments = _rand_segments(rng, lat, all_idx, n_segs)
+    atoms = _rand_atoms(rng, lat, all_idx, n_atoms)
     return MixtureDistribution(atoms=tuple(atoms), segments=tuple(segments))
 
 

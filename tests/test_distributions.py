@@ -516,6 +516,21 @@ class TestColumns:
         assert hash(make_empirical([1.0, 1.0])) == hash(make_empirical([1.0]))
         assert make_empirical([1.0, 1.0]) != make_empirical([1.0, 2.0])
 
+    def test_hashing_reads_only_the_location_columns(self):
+        # weights 1/p over 3000 primes: normalizing each count over the
+        # ~40k-bit total, as building the atoms does, takes seconds
+        primes = first_primes(3000)
+        d = make_empirical([float(p) for p in primes], [Fraction(1, p) for p in primes])
+        h = hash(d)
+        assert "atoms" not in vars(d) and "segments" not in vars(d)
+        assert hash(negate(negate(d))) == h
+        pos = MixtureDistribution(atoms=(Atom(0.0, 1),), segments=(uniform(-1.0, -0.0),))
+        neg = MixtureDistribution(atoms=(Atom(-0.0, 1),), segments=(uniform(-1.0, 0.0),))
+        assert pos == neg and hash(pos) == hash(neg)
+        third = make_empirical([1.0, 2.0], [1, 3])
+        assert make_empirical([1.0, 2.0], [2, 6]) == third
+        assert hash(make_empirical([1.0, 2.0], [2, 6])) == hash(third)
+
     def test_equality_compares_masses_in_proportion(self):
         # equal parts over different totals are equal; other masses are not
         assert make_empirical([1.0, 2.0], [2, 6]) == make_empirical([1.0, 2.0], [1, 3])

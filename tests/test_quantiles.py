@@ -243,10 +243,9 @@ class TestProfileAgainstDefinition:
             _assert_profile_matches_definition(random_mixture(replace(cfg, seed=start + i)))
 
     def test_corpus_covers_touching_segments_and_atoms_on_endpoints(self):
-        cfg = GeneratorConfig(max_atoms=5, max_segments=4, mass_granularity=3)
         touching = on_endpoint = 0
         for seed in range(120):
-            d = random_mixture(replace(cfg, seed=seed))
+            d = random_mixture(GeneratorConfig(seed=seed))
             ends = {e for s in d.segments for e in (s.lo, s.hi)}
             touched = any(s.hi == t.lo for s, t in zip(d.segments, d.segments[1:]))
             landed = any(a.location in ends for a in d.atoms)
@@ -254,6 +253,17 @@ class TestProfileAgainstDefinition:
             on_endpoint += landed
             if touched or landed:
                 _assert_profile_matches_definition(d)
+                # the same parts again, with masses 1, 2, 3 in turn in place of k/16
+                n = len(d.atoms)
+                _assert_profile_matches_definition(
+                    MixtureDistribution(
+                        atoms=[Atom(a.location, 1 + k % 3) for k, a in enumerate(d.atoms)],
+                        segments=[
+                            UniformSegment(s.lo, s.hi, 1 + (n + k) % 3)
+                            for k, s in enumerate(d.segments)
+                        ],
+                    )
+                )
         assert touching >= 10 and on_endpoint >= 10
 
     def test_signed_zero_landmarks(self):
