@@ -189,10 +189,6 @@ class UniformSegment:
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "mass", _exact_positive(self.mass, BadWeightError, "segment mass"))
 
-    @property
-    def width(self) -> Fraction:
-        return Fraction(self.hi) - Fraction(self.lo)
-
 
 class _Tables(NamedTuple):
     """What `dist_fn` reads of one distribution, built once.

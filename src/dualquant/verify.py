@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .distributions import (
@@ -321,15 +321,11 @@ def _level_free_checks(d: MixtureDistribution, lq_fn: QuantileFn) -> _LevelFree:
         f"{format_extended(closed_mass) if closed_mass is not None else '?'}",
     )
 
-    bad_atoms = [
-        a.location
-        for a in d.atoms
-        if lq_fn(d, dist_fn(d, DistFnFlavor.LEFT_CLOSED, a.location)) != a.location
-    ]
+    bad_atoms = [x for x in d._locs if lq_fn(d, dist_fn(d, DistFnFlavor.LEFT_CLOSED, x)) != x]
     j = CheckResult(
         "j",
         not bad_atoms,
-        f"lq(F(x0)) == x0 at {len(d.atoms)} atoms"
+        f"lq(F(x0)) == x0 at {len(d._locs)} atoms"
         + (f"; FAILED at {bad_atoms[0]!r}" if bad_atoms else ""),
     )
     lo_b, hi_b = essential_bounds(d)
@@ -624,6 +620,12 @@ _MASS_GRANULARITY = 16
 _LATTICE_STEPS = 32
 
 
+def _lattice(cfg: GeneratorConfig) -> list[float]:
+    # each point exact, then rounded once: nothing overflows or collapses
+    lo, hi = map(Fraction, cfg.location_range)
+    return [float(lo + (hi - lo) * k / _LATTICE_STEPS) for k in range(_LATTICE_STEPS + 1)]
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """The seed and location range of the seeded mixture generator."""
@@ -631,18 +633,15 @@ class GeneratorConfig:
     seed: int = 0
     location_range: tuple[float, float] = (-4.0, 4.0)
 
+    # built once per config: the check below and the draw share it
+    _points = cached_property(_lattice)
+
     def __post_init__(self):
         lo, hi = self.location_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"bad location range {self.location_range!r}")
-        if len(set(_lattice(self))) <= _LATTICE_STEPS:
+        if len(set(self._points)) <= _LATTICE_STEPS:
             raise ValueError(f"location range {self.location_range!r} has too few distinct floats")
-
-
-def _lattice(cfg: GeneratorConfig) -> list[float]:
-    # each point exact, then rounded once: nothing overflows or collapses
-    lo, hi = map(Fraction, cfg.location_range)
-    return [float(lo + (hi - lo) * k / _LATTICE_STEPS) for k in range(_LATTICE_STEPS + 1)]
 
 
 def _rand_mass(rng: random.Random) -> Fraction:
@@ -674,7 +673,7 @@ def random_mixture(cfg: GeneratorConfig) -> MixtureDistribution:
     interior gap.
     """
     rng = random.Random(cfg.seed)
-    lat = _lattice(cfg)
+    lat = cfg._points
     all_idx = range(len(lat))
 
     roll = rng.random()

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from bisect import bisect_left, bisect_right
@@ -245,23 +246,25 @@ class TestExitCodes:
         assert res.exit_code == 2
 
     def test_continuity_mismatch_is_6(self, runner, rain):
-        spec = json.dumps(
-            {
-                "direction": "non_decreasing",
-                "breakpoints": [{"at": 0.5, "continuity": "right"}],
-                "pieces": [
-                    {"lo": "-inf", "hi": 0.5, "slope": 1.0, "intercept": 0.0},
-                    {"lo": 0.5, "hi": "inf", "slope": 1.0, "intercept": 1.0},
-                ],
-            }
-        )
-        res = runner.invoke(
-            main,
-            ["transform", rain, "--column", "pH", "--levels", "0.5", "--map", spec,
-             "--side", "left"],
-        )
-        assert res.exit_code == 6
-        assert "left-continuous" in res.stderr
+        # a right-owned jump below the pH data, and one inside it
+        for at in (0.5, 5.0):
+            spec = json.dumps(
+                {
+                    "direction": "non_decreasing",
+                    "breakpoints": [{"at": at, "continuity": "right"}],
+                    "pieces": [
+                        {"lo": "-inf", "hi": at, "slope": 1.0, "intercept": 0.0},
+                        {"lo": at, "hi": "inf", "slope": 1.0, "intercept": 1.0},
+                    ],
+                }
+            )
+            res = runner.invoke(
+                main,
+                ["transform", rain, "--column", "pH", "--levels", "0.5", "--map", spec,
+                 "--side", "left"],
+            )
+            assert res.exit_code == 6
+            assert "left-continuous" in res.stderr
 
 
     @pytest.mark.parametrize(
@@ -287,10 +290,13 @@ class TestExitCodes:
             (["quantile", *READ_V], b"v\n1.0\n\xe92.0\n", 2, "cannot read"),
             (["quantile", *READ_V], b"\xef\xbb\xbfv\n1.0\n\xe92.0\n", 2, "cannot read"),
             (["quantile", *READ_V], b"", 3, "file has no rows"),
+            (["quantile", "{data}", "--levels", "0.5"], b"", 3, "file has no rows"),
             (["transform", "--map", "@{map}", *READ_V], b"v\n1.0\n", 2, "cannot read map file"),
             # nested past the recursion limit, and an int past 4300 digits
             # (braces doubled for str.format)
             (["transform", "--map", '{{"kind":' + "[" * 100_000, *READ_V], b"v\n1.0\n", 5,
+             "map spec is not valid JSON"),
+            (["transform", "{data}", "--levels", "0.5", "--map", "@{deep}"], b"1.0\n2.0\n3.0\n4.0\n", 5,
              "map spec is not valid JSON"),
             (["transform", "--map", '{{"kind":"affine","a":1,"b":1' + "0" * 4999 + "}}", *READ_V],
              b"v\n1.0\n", 5, "map spec is not valid JSON"),
@@ -298,8 +304,9 @@ class TestExitCodes:
              "cannot write"),
         ],
         ids=["over-long-field", "two-char-delimiter", "empty-delimiter", "data-not-utf8",
-             "data-not-utf8-after-a-bom", "empty-file", "map-not-utf8", "map-nested-too-deep",
-             "map-int-too-long", "report-dir-missing"],
+             "data-not-utf8-after-a-bom", "empty-file", "empty-file-unnamed-column", "map-not-utf8",
+             "map-nested-too-deep", "map-file-nested-too-deep", "map-int-too-long",
+             "report-dir-missing"],
     )
     def test_malformed_input_exits_without_a_traceback(
         self, runner, tmp_path, command, data, code, message
@@ -308,7 +315,9 @@ class TestExitCodes:
         f.write_bytes(data)
         map_file = tmp_path / "map.json"
         map_file.write_bytes(b'{"kind": "neg\xe9"}')
-        res = runner.invoke(main, [a.format(map=map_file, data=f) for a in command])
+        deep_map = tmp_path / "deep.json"
+        deep_map.write_text('{"kind":' + "[" * 100_000 + "\n")
+        res = runner.invoke(main, [a.format(map=map_file, deep=deep_map, data=f) for a in command])
         assert res.exit_code == code
         assert message in res.stderr
         assert isinstance(res.exception, SystemExit)
@@ -495,9 +504,10 @@ class TestVerifyCommand:
         assert len(blob["reports"]) == 71
 
     def test_injected_mutation_fails_loudly(self, runner):
-        res = runner.invoke(main, ["verify", "--seed", "7", "--n", "2", "--inject-mutation"])
-        assert res.exit_code == 1
-        assert "first failure" in res.stderr
+        for seed in (["--seed", "7"], []):
+            res = runner.invoke(main, ["verify", *seed, "--n", "2", "--inject-mutation"])
+            assert res.exit_code == 1
+            assert "first failure" in res.stderr
 
     @pytest.mark.parametrize("where", ["missing/report.json", "."], ids=["dir-missing", "a-dir"])
     def test_an_unwritable_report_is_refused_before_the_run(
@@ -518,6 +528,14 @@ class TestEntryPoints:
         assert res.exit_code == 0
         for sub in ("quantile", "symmetry", "transform", "verify"):
             assert sub in res.stdout
+
+    def test_the_smoke_script_that_ci_runs_passes(self):
+        smoke = [sys.executable, str(GEN_CSV.with_name("smoke.py")), "--rows", "10000", "--"]
+        env = {**os.environ, "PYTHONPATH": str(Path(dualquant.cli.__file__).parents[1])}
+        res = subprocess.run([*smoke, sys.executable, "-m", "dualquant"],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stdout[-2000:] + res.stderr
+        assert res.stdout.splitlines()[-1] == "smoke: every check passed"
 
 
 def fraction_cdf(path, weighted):

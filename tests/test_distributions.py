@@ -302,9 +302,6 @@ class TestConstruction:
         assert [a.location for a in d.atoms] == [-1.0, 2.0]
         assert [s.lo for s in d.segments] == [3.0, 5.0]
 
-    def test_segment_width(self):
-        assert uniform(1, 3).width == 2.0
-
     @pytest.mark.parametrize(
         "ctor",
         [

@@ -231,7 +231,7 @@ class TestVerifierStoresNothing:
         check_symmetry(d, p)
         assert set(vars(d)) == {
             "_locs", "_los", "_his", "_counts", "_total",
-            "atoms", "_tables", "_profile", "_breakpoints",
+            "_tables", "_profile", "_breakpoints",
         }
 
 

@@ -1,0 +1,156 @@
+"""Check the dualquant command end to end, as CI does after `pip install .`.
+
+    python tools/smoke.py --rows 1000000 -- dualquant
+    python tools/smoke.py --rows 10000 -- python -m dualquant
+
+The command runs the rain examples, the verifier and a generated column of
+--rows rows, whose answers must equal `tools/gen_csv.py --reference`; library
+checks run in a child of this interpreter.  Exits 1 naming a failed check.
+"""
+
+import argparse
+import hashlib
+import json
+import math
+import os
+import re
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+from fractions import Fraction
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent
+LEVELS = ["0.1", "0.5", "0.9"]
+
+
+def run(argv, code=0, label=None):
+    """Run ``argv``, fail unless it exits with ``code``, return its stdout and
+    stderr.  With a label, print the child's wall time and peak RSS; os.wait4
+    gives this child's own, where RUSAGE_CHILDREN gives the largest so far."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        child = subprocess.Popen(argv, stdin=subprocess.DEVNULL, stdout=out, stderr=err)
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0), err.seek(0)
+        stdout, stderr = out.read().decode(), err.read().decode()
+    if child.returncode != code:
+        sys.exit(f"FAILED: {label or ' '.join(map(str, argv))} exited {child.returncode}, "
+                 f"not {code}\n{stderr[-2000:]}")
+    if label:
+        print(f"{label}: {wall:.2f} s, peak RSS {usage.ru_maxrss / 1024:.1f} MiB")
+    return stdout, stderr
+
+
+def expect(what, got, want):
+    print(f"{what}\n  got  {got}\n  want {want}")
+    if got != want:
+        sys.exit(f"FAILED: {what}")
+
+
+def library(path):
+    """Time the first query on touching segments between the values in ``path``,
+    and hash, negate and pushforward on weights 1/p over 3000 primes (a ~40k-bit
+    denominator); check that each answer mirrors its negation's."""
+    from dualquant import (MixtureDistribution, UniformSegment, affine_map, make_empirical,
+                           negate, pushforward, quantile_pair)
+
+    def timed(what, step):
+        start = time.perf_counter()
+        value = step()
+        print(f"{what}: {time.perf_counter() - start:.3f} s")
+        return value
+
+    with open(path) as fh:
+        xs = sorted({float(line) for line in list(fh)[1:]})
+    touching = MixtureDistribution(segments=[UniformSegment(a, b, 1) for a, b in zip(xs, xs[1:])])
+    negated = negate(touching)
+    for p in map(Fraction, LEVELS):
+        timed(f"{len(xs) - 1} segments, first query at p={p}", lambda: quantile_pair(touching, p))
+        print(f"  peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MiB")
+    primes = [k for k in range(2, 30_000) if all(k % q for q in range(2, math.isqrt(k) + 1))][:3000]
+    d = make_empirical([float(p) for p in primes], [Fraction(1, p) for p in primes])
+    h = timed("hash, 3000 prime weights", lambda: hash(d))
+    nd = timed("negate, 3000 prime weights", lambda: negate(d))
+    timed("pushforward through affine(-3, 0.5)", lambda: pushforward(d, affine_map(-3.0, 0.5)))
+    expect("hash after a double negation", hash(negate(nd)), h)
+    for what, d, nd in ("touching segments", touching, negated), ("3000 prime weights", d, nd):
+        for p in map(Fraction, LEVELS):
+            pair, mirror = quantile_pair(d, p), quantile_pair(nd, 1 - p)
+            expect(f"{what} at p={p}, and negated at 1 - p",
+                   (pair.left, pair.right), (-mirror.right, -mirror.left))
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--rows", type=int, required=True, help="rows of the generated column")
+    parser.add_argument("command", nargs="+", help="the dualquant command, after --")
+    args = parser.parse_args()
+    cmd, rows = args.command, args.rows
+    scratch = tempfile.TemporaryDirectory()  # removed at exit, also after a failure
+    tmp = Path(scratch.name)
+
+    rain = run([sys.executable, "-c", "import dualquant; print(dualquant.rain_csv_path())"])[0]
+    ph = [rain.strip(), "--column", "pH", "--levels", "0.2,0.8"]
+    _, log = run(["env", "PYTHONPROFILEIMPORTTIME=1", *cmd, "quantile", *ph])
+    loaded = set(re.findall(r"dualquant\.(quantiles|transforms|verify)\b", log))
+    expect("library modules that quantile imports", sorted(loaded), ["quantiles"])
+    run([*cmd, "symmetry", *ph])
+    run([*cmd, "transform", *ph, "--map", '{"kind":"pow10neg"}'])
+    run([*cmd, "transform", *ph, "--map", '{"kind":"negation"}', "--side", "right"])
+    run([*cmd, "verify", "--n", "3"])
+
+    # the battery spread over every CPU writes the report of a serial run
+    print(f"usable CPUs: {len(os.sched_getaffinity(0))}")
+    for flags, code in ([], 0), (["--inject-mutation"], 1):
+        digests = []
+        for pin in ["taskset", "-c", "0"], []:
+            report = tmp / f"report{len(digests)}.json"
+            run([*pin, *cmd, "verify", "--n", "6", "--seed", "9", *flags, "--report", report], code)
+            digests.append(hashlib.sha256(report.read_bytes()).hexdigest())
+        expect(f"serial and sharded reports, verify {' '.join(flags) or 'plain'}", *digests)
+
+    # a generated column: the answers equal the generator's own reference
+    def generate(n, *reference):
+        return run([sys.executable, TOOLS / "gen_csv.py", "--rows", str(n), *reference])[0]
+
+    def pairs(rows):
+        return [(repr(r["left"]), repr(r["right"])) for r in rows]
+
+    big, mid = tmp / "big.csv", tmp / "mid.csv"
+    big.write_text(generate(rows))
+    want = json.loads(generate(rows, "--reference", ",".join(LEVELS)))["rows"]
+    read = [big, "--column", "value", "--levels", ",".join(LEVELS)]
+    out, _ = run([*cmd, "quantile", *read, "--format", "json"], label=f"quantile, {rows} rows")
+    expect("quantile answers", pairs(json.loads(out)["rows"]), pairs(want))
+
+    # through x -> -3x + 0.5 the right quantile at p is the image of the left one at 1 - p;
+    # through a continuous three-piece map, both flags left, it is the left one mapped
+    pieces = [{"lo": lo, "hi": hi, "slope": a, "intercept": b}
+              for lo, hi, a, b in [("-inf", -0.5, 1, 0.5), (-0.5, 0.5, 0, 0), (0.5, "inf", 1, -0.5)]]
+    three = {"direction": "non_decreasing", "pieces": pieces,
+             "breakpoints": [{"at": x, "continuity": "left"} for x in (-0.5, 0.5)]}
+    for name, spec, side, ref, rule in [
+        ("affine", {"kind": "affine", "a": -3, "b": 0.5}, "right", want[::-1],
+         lambda x: -3.0 * x + 0.5),
+        ("three pieces", three, "left", want,
+         lambda x: x + 0.5 if x <= -0.5 else (x - 0.5 if x > 0.5 else 0.0)),
+    ]:
+        out, _ = run([*cmd, "transform", *read, "--map", json.dumps(spec), "--side", side],
+                     label=f"transform, {rows} rows, {name}")
+        got = [(repr(float(row.split()[1])), row.split()[3]) for row in out.splitlines()[1:]]
+        expect(f"{name} transform answers", got, [(repr(rule(r["left"])), "yes") for r in ref])
+
+    # the library checks, on a column one tenth as long
+    mid.write_text(generate(rows // 10))
+    call = f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import smoke; smoke.library({str(mid)!r})"
+    print(run([sys.executable, "-c", call])[0], end="")
+    print("smoke: every check passed")
+
+
+if __name__ == "__main__":
+    main()
