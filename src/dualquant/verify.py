@@ -17,7 +17,6 @@ import operator
 import os
 import random
 import threading
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -45,6 +44,8 @@ from .distributions import (
     negate,
 )
 from .errors import MapDomainError, ContinuityMismatchError, UnsupportedPushforwardError
+# the battery calls left_quantile and pushforward by their names here, so a
+# test can swap a fault in with monkeypatch and forked shards inherit it
 from .quantiles import (
     LevelLike,
     QuantileSide,
@@ -84,10 +85,7 @@ __all__ = [
     "summarize",
     "report_to_dict",
     "reports_to_json",
-    "off_by_one_left_quantile",
 ]
-
-QuantileFn = Callable[[MixtureDistribution, Probability], ExtendedReal]
 
 
 class QuantileVariant(Enum):
@@ -292,10 +290,10 @@ def _interval_mass(d, lo, hi) -> Fraction:
 
 
 class _LevelFree(NamedTuple):
-    """The parts of checks a-k that no level changes, for one mixture
-    and one left quantile function: checks h and j whole, the left and
-    right quantiles at the levels k/10 that check i adds to p, and the
-    distances span*j/8 of check k's probes from lq and rq."""
+    """The parts of checks a-k that no level changes, for one mixture:
+    checks h and j whole, the left and right quantiles at the levels k/10
+    that check i adds to p, and the distances span*j/8 of check k's
+    probes from lq and rq."""
 
     h: CheckResult
     j: CheckResult
@@ -303,8 +301,9 @@ class _LevelFree(NamedTuple):
     offsets: tuple[Fraction, ...]
 
 
-def _level_free_checks(d: MixtureDistribution, lq_fn: QuantileFn) -> _LevelFree:
-    grid = {q: (lq_fn(d, q), right_quantile(d, q)) for q in (Fraction(k, 10) for k in range(11))}
+def _level_free_checks(d: MixtureDistribution) -> _LevelFree:
+    tenths = (Fraction(k, 10) for k in range(11))
+    grid = {q: (left_quantile(d, q), right_quantile(d, q)) for q in tenths}
     lq1, rq0 = grid[1][0], grid[0][1]
     finite = not (isinstance(lq1, float) and math.isinf(lq1)) and not (
         isinstance(rq0, float) and math.isinf(rq0)
@@ -321,7 +320,9 @@ def _level_free_checks(d: MixtureDistribution, lq_fn: QuantileFn) -> _LevelFree:
         f"{format_extended(closed_mass) if closed_mass is not None else '?'}",
     )
 
-    bad_atoms = [x for x in d._locs if lq_fn(d, dist_fn(d, DistFnFlavor.LEFT_CLOSED, x)) != x]
+    bad_atoms = [
+        x for x in d._locs if left_quantile(d, dist_fn(d, DistFnFlavor.LEFT_CLOSED, x)) != x
+    ]
     j = CheckResult(
         "j",
         not bad_atoms,
@@ -334,8 +335,8 @@ def _level_free_checks(d: MixtureDistribution, lq_fn: QuantileFn) -> _LevelFree:
 
 
 class _AtLevel(NamedTuple):
-    """What checks a-k, S and V share at one level p: lq and rq from the
-    battery's quantile functions, and the oracle's candidate grid on d."""
+    """What checks a-k, S and V share at one level p: lq and rq, and the
+    oracle's candidate grid on d."""
 
     p: Probability
     lq: ExtendedReal
@@ -343,12 +344,12 @@ class _AtLevel(NamedTuple):
     grid: _LevelGrid
 
 
-def _at_level(d: MixtureDistribution, grid: _Grid, p: Probability, lq_fn: QuantileFn) -> _AtLevel:
-    return _AtLevel(p, lq_fn(d, p), right_quantile(d, p), _candidates(d, grid, p))
+def _at_level(d: MixtureDistribution, grid: _Grid, p: Probability) -> _AtLevel:
+    return _AtLevel(p, left_quantile(d, p), right_quantile(d, p), _candidates(d, grid, p))
 
 
 def _property_results(
-    d: MixtureDistribution, at: _AtLevel, lq_fn: QuantileFn, fixed: _LevelFree
+    d: MixtureDistribution, at: _AtLevel, fixed: _LevelFree
 ) -> list[CheckResult]:
     out = []
     p, lq, rq = at.p, at.lq, at.rq
@@ -364,7 +365,7 @@ def _property_results(
         out.append(CheckResult("c", True, "vacuous: no level above 1"))
     else:
         higher = sorted({p + (1 - p) * Fraction(k, 4) for k in (1, 2, 3, 4)} | {p + (1 - p) / 97})
-        bad = [p2 for p2 in higher if not rq <= lq_fn(d, p2)]
+        bad = [p2 for p2 in higher if not rq <= left_quantile(d, p2)]
         out.append(
             CheckResult(
                 "c",
@@ -487,18 +488,21 @@ def _variant_results(at: _AtLevel, shapes_ok: tuple[bool, bool]) -> list[CheckRe
     ]
 
 
-_Image = tuple[str, MonotoneMap, Optional[MixtureDistribution]]
+_Image = tuple[str, MonotoneMap, MixtureDistribution | Exception | None]
 
 
 def _pushforwards(d: MixtureDistribution, maps: Sequence[tuple[str, MonotoneMap]]) -> list[_Image]:
-    """Each named map with the pushforward of d through it, or None
-    where the map cannot push d."""
+    """Each named map with the pushforward of d through it, None where
+    the map cannot push d, or the exception of a pushforward that failed
+    otherwise, which check E reports."""
     out = []
     for name, m in maps:
         try:
             push = pushforward(d, m)
         except (UnsupportedPushforwardError, MapDomainError):
             push = None
+        except Exception as exc:  # a defect: reported at each level, not raised
+            push = exc
         out.append((name, m, push))
     return out
 
@@ -512,6 +516,10 @@ def _equivariance_results(
     for name, m, push in images:
         if push is None:
             skipped += 2
+            continue
+        if isinstance(push, Exception):
+            checked += 2
+            failures.append(f"{name}: pushforward raised {type(push).__name__}: {push}")
             continue
         for side in (QuantileSide.LEFT, QuantileSide.RIGHT):
             try:
@@ -538,14 +546,11 @@ def _equivariance_results(
     return [CheckResult("E", ok, detail, checked, skipped)]
 
 
-def check_quantile_properties(
-    d: MixtureDistribution, p: LevelLike, *, lq_fn: Optional[QuantileFn] = None
-) -> PropertyReport:
+def check_quantile_properties(d: MixtureDistribution, p: LevelLike) -> PropertyReport:
     """Run the one-sided quantile property battery (ids a-k) at one level."""
     p = as_level(p)
-    lq_fn = lq_fn or left_quantile
-    at = _at_level(d, _candidate_table(d), p, lq_fn)
-    results = _property_results(d, at, lq_fn, _level_free_checks(d, lq_fn))
+    at = _at_level(d, _candidate_table(d), p)
+    results = _property_results(d, at, _level_free_checks(d))
     return PropertyReport(describe(d), p, tuple(results))
 
 
@@ -719,19 +724,13 @@ def standard_levels(seed: int = 42) -> tuple[Probability, ...]:
 
 
 def run_suite(
-    cfg: GeneratorConfig,
-    n_dists: int,
-    levels: Sequence[LevelLike],
-    *,
-    lq_fn: Optional[QuantileFn] = None,
+    cfg: GeneratorConfig, n_dists: int, levels: Sequence[LevelLike]
 ) -> list[PropertyReport]:
     """Check every identity on ``n_dists`` seeded mixtures at every level.
 
     Returns one report per (distribution, level) pair holding the full
     battery: properties a-k, symmetry S, variant/flavor agreement V,
-    and map equivariance E.  ``lq_fn`` lets a caller swap in a
-    deliberately broken left quantile (see `off_by_one_left_quantile`)
-    to confirm the harness actually bites.
+    and map equivariance E.
 
     The mixtures are dealt round-robin over the CPUs this process may
     use (`_usable_cpus`): the caller checks every k-th mixture from the
@@ -743,7 +742,6 @@ def run_suite(
     """
     if n_dists < 1:
         raise ValueError("n_dists must be >= 1")
-    lq_fn = lq_fn or left_quantile
     map_list = stock_maps()
     levels = [as_level(p) for p in levels]
     k = min(n_dists, _usable_cpus())
@@ -753,7 +751,7 @@ def run_suite(
         for i in range(j, n_dists, k):
             try:
                 mixture_cfg = replace(cfg, seed=cfg.seed + i)
-                out.append(_mixture_reports(mixture_cfg, levels, lq_fn, map_list))
+                out.append(_mixture_reports(mixture_cfg, levels, map_list))
             except Exception as exc:  # raised below, once the mixtures before it are known
                 out.append(exc)
                 break
@@ -769,20 +767,20 @@ def run_suite(
     return reports
 
 
-def _mixture_reports(cfg, levels, lq_fn, map_list) -> list[PropertyReport]:
+def _mixture_reports(cfg, levels, map_list) -> list[PropertyReport]:
     """The reports of the mixture `random_mixture(cfg)` at each level."""
     d = random_mixture(cfg)
     label = describe(d)
     nd = negate(d)
     grid, nd_grid = _candidate_table(d), _candidate_table(nd)
-    fixed = _level_free_checks(d, lq_fn)
+    fixed = _level_free_checks(d)
     shapes_ok = _shape_witnesses(d, grid)
     images = _pushforwards(d, map_list)
     reports = []
     for p in levels:
-        at = _at_level(d, grid, p, lq_fn)
+        at = _at_level(d, grid, p)
         results = (
-            _property_results(d, at, lq_fn, fixed)
+            _property_results(d, at, fixed)
             + _symmetry_results(nd, nd_grid, p, at.lq, at.rq)
             + _variant_results(at, shapes_ok)
             + _equivariance_results(d, p, images)
@@ -900,15 +898,3 @@ def reports_to_json(reports: Sequence[PropertyReport]) -> dict:
         "all_passed": suite_passed(reports),
         "reports": [report_to_dict(r) for r in reports],
     }
-
-
-def off_by_one_left_quantile(d: MixtureDistribution, p: LevelLike) -> ExtendedReal:
-    """A deliberately broken left quantile for harness-sensitivity runs:
-    every finite answer is bumped to the next support landmark above
-    (one atom/endpoint too high), the classic off-by-one indexing slip."""
-    x = left_quantile(d, p)
-    if isinstance(x, float) and math.isinf(x):
-        return x
-    bps = breakpoints(d)
-    i = bisect_right(bps, x)
-    return bps[i] if i < len(bps) else x

@@ -30,7 +30,6 @@ from dualquant import (
     left_quantile,
     make_empirical,
     negate,
-    off_by_one_left_quantile,
     pow10_neg_map,
     pushforward,
     quantile_at,
@@ -316,13 +315,8 @@ class TestCriterion7:
 
 
 class TestCriterion8:
-    def test_criterion_8_battery_catches_an_off_by_one_quantile(self):
-        reports = run_suite(
-            GeneratorConfig(seed=CORPUS_SEED),
-            25,
-            LEVELS[:12],
-            lq_fn=off_by_one_left_quantile,
-        )
+    def test_criterion_8_battery_catches_an_off_by_one_quantile(self, off_by_one):
+        reports = run_suite(GeneratorConfig(seed=CORPUS_SEED), 25, LEVELS[:12])
         failed_checks = sum(1 for r in reports for c in r.results if not c.passed)
         failed_reports = sum(1 for r in reports if not r.passed)
         _conclude(

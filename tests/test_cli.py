@@ -15,6 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 import dualquant.cli
+import dualquant.quantiles
 import dualquant.verify
 from dualquant import rain_csv_path
 from dualquant.cli import _load_column, main
@@ -406,6 +407,17 @@ class TestSymmetryCommand:
         assert "direct 4.8327; via reversed scale 4.8492 -> off by 1 row (row 2 vs row 3)" in res.stdout
         assert "direct 5.2901; via reversed scale 5.5731 -> off by 1 row (row 8 vs row 9)" in res.stdout
 
+    def test_a_failing_identity_exits_1_naming_its_levels(self, runner, rain, monkeypatch):
+        # the mirror's left quantile comes out one too high at every level
+        right = dualquant.quantiles.right_quantile
+        monkeypatch.setattr(dualquant.quantiles, "right_quantile", lambda d, p: right(d, p) + 1)
+        for levels, named in ("0.5", "level 0.5"), ("0.2,0.8", "levels 0.2, 0.8"):
+            res = runner.invoke(main, ["symmetry", rain, "--column", "pH", "--levels", levels])
+            assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+            table = rows_of(res.stdout.split("\n\n")[0])
+            assert [row[-1] for row in table[1:]] == ["FAIL"] * len(levels.split(","))
+            assert res.stderr == f"error: the negation identity fails at {named}\n"
+
     def test_quartiles_agree_across_scales(self, runner, rain):
         res = runner.invoke(main, ["symmetry", rain, "--column", "pH", "--levels", "0.25,0.75"])
         assert res.exit_code == 0
@@ -503,9 +515,9 @@ class TestVerifyCommand:
         assert blob["total_reports"] == 71
         assert len(blob["reports"]) == 71
 
-    def test_injected_mutation_fails_loudly(self, runner):
+    def test_injected_mutation_fails_loudly(self, runner, off_by_one):
         for seed in (["--seed", "7"], []):
-            res = runner.invoke(main, ["verify", *seed, "--n", "2", "--inject-mutation"])
+            res = runner.invoke(main, ["verify", *seed, "--n", "2"])
             assert res.exit_code == 1
             assert "first failure" in res.stderr
 

@@ -12,6 +12,7 @@ import threading
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
 import dualquant.verify
 from dualquant import (
@@ -36,7 +37,6 @@ from dualquant import (
     make_empirical,
     negate,
     neglog10_map,
-    off_by_one_left_quantile,
     quantile_by_definition,
     random_mixture,
     right_quantile,
@@ -44,6 +44,8 @@ from dualquant import (
     standard_levels,
     stock_maps,
 )
+from dualquant.cli import main as cli_main
+from dualquant.errors import BadValueError
 from dualquant.verify import (
     _candidate_table,
     _candidates,
@@ -261,8 +263,8 @@ class TestPropertyChecks:
         report = check_quantile_properties(ph_dist, Fraction(1, 2))
         assert not [r for r in report.results if r.skipped]
 
-    def test_wrong_quantile_function_is_caught(self, ph_dist):
-        report = check_quantile_properties(ph_dist, "0.2", lq_fn=off_by_one_left_quantile)
+    def test_wrong_quantile_function_is_caught(self, ph_dist, off_by_one):
+        report = check_quantile_properties(ph_dist, "0.2")
         assert not report.passed
         assert report.failures()
 
@@ -297,6 +299,39 @@ class TestPropertyChecks:
         assert len(clauses) == 3
         for clause in clauses:
             assert re.fullmatch(r"[\w-]+/(left|right): direct \S+ != routed \S+", clause), clause
+
+    def test_a_pushforward_that_raises_fails_E_at_every_level(self, monkeypatch):
+        # any exception but the two that mean "not applicable" is a defect:
+        # E fails naming the map, counts its two sides as checked, and
+        # neither run_suite nor the command raises
+        push = dualquant.verify.pushforward
+        jump = dict(stock_maps())["nd_jump_left"]
+        levels = standard_levels(42)[::10]
+        want = run_suite(GeneratorConfig(seed=42), 2, levels)
+
+        def overlapping(d, m):
+            if m == jump:
+                raise BadValueError("segments [-1.25, 2.75] and [2.75, 3.75] overlap")
+            return push(d, m)
+
+        monkeypatch.setattr(dualquant.verify, "pushforward", overlapping)
+        raised = "nd_jump_left: pushforward raised BadValueError: segments [-1.25, 2.75] and "
+        d = random_mixture(GeneratorConfig(seed=42))
+        # its right side is never claimed, as the map is not right-continuous
+        (e,) = _equivariance_results(d, Fraction(1, 2), _pushforwards(d, [("nd_jump_left", jump)]))
+        assert not e.passed and (e.checked, e.skipped) == (2, 0)
+        assert e.details.startswith("2 identities checked, 0 skipped over 1 maps; " + raised)
+        reports = run_suite(GeneratorConfig(seed=42), 2, levels)
+        for got, base in zip(reports, want):
+            (e,) = [c for c in got.results if c.check_id == "E"]
+            assert not e.passed and "; " + raised in e.details
+            assert [c for c in got.results if c.check_id != "E"] == [
+                c for c in base.results if c.check_id != "E"
+            ]
+        res = CliRunner().invoke(cli_main, ["verify", "--n", "2"])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("first failure: [E] ")
+        assert "nd_jump_left: pushforward raised BadValueError" in res.stderr
 
     def test_symmetry_battery(self, ph_dist):
         for d in oracle_subjects(ph_dist):
@@ -468,19 +503,17 @@ class TestGoldenReports:
     change in a check's result or its details text changes the digest."""
 
     @pytest.mark.parametrize(
-        "seed, lq_fn, digest",
+        "seed, mutated, digest",
         [
-            (42, None, "a9d5e643ac7303a4c1175628de46dda2d1b9bbc7040a3ef4e36b1db2cd544e63"),
-            (
-                3,
-                off_by_one_left_quantile,
-                "012637e9dcaef6c7ca157ac5a731c085f4eb499db363e38c995a362dbe891518",
-            ),
+            (42, False, "a9d5e643ac7303a4c1175628de46dda2d1b9bbc7040a3ef4e36b1db2cd544e63"),
+            (3, True, "012637e9dcaef6c7ca157ac5a731c085f4eb499db363e38c995a362dbe891518"),
         ],
         ids=["seed42", "seed3-off-by-one"],
     )
-    def test_report_digest(self, seed, lq_fn, digest):
-        reports = run_suite(GeneratorConfig(seed=seed), 5, standard_levels(seed), lq_fn=lq_fn)
+    def test_report_digest(self, request, seed, mutated, digest):
+        if mutated:
+            request.getfixturevalue("off_by_one")
+        reports = run_suite(GeneratorConfig(seed=seed), 5, standard_levels(seed))
         text = json.dumps(reports_to_json(reports), indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -552,14 +585,16 @@ class TestShardedSuite:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("lq_fn", [None, off_by_one_left_quantile])
+    @pytest.mark.parametrize("mutated", [False, True], ids=["None", "off_by_one_left_quantile"])
     @pytest.mark.parametrize("n", [1, 3, 5])
-    def test_sharded_reports_equal_serial(self, cpus, forks, n, lq_fn):
+    def test_sharded_reports_equal_serial(self, request, cpus, forks, n, mutated):
+        if mutated:
+            request.getfixturevalue("off_by_one")
         runs = {}
         for n_cpus in (1, 2, 3, 4):
             cpus(n_cpus)
             with within(120):
-                reports = run_suite(GeneratorConfig(seed=5), n, self.LEVELS, lq_fn=lq_fn)
+                reports = run_suite(GeneratorConfig(seed=5), n, self.LEVELS)
             self.assert_no_child_left()
             runs[n_cpus] = json.dumps(reports_to_json(reports), indent=2)
         assert len(json.loads(runs[1])["reports"]) == n * len(self.LEVELS)
@@ -571,17 +606,19 @@ class TestShardedSuite:
         [({5}, "boom 5"), ({4, 5}, "boom 4"), ({3, 4}, "boom 3"), ({1, 3}, "boom 1")],
         ids=["last-share", "two-children", "caller-first", "child-first"],
     )
-    def test_the_first_failure_in_seed_order_reaches_the_caller(self, cpus, failing, raised):
+    def test_the_first_failure_in_seed_order_reaches_the_caller(
+        self, cpus, fake_left_quantile, failing, raised
+    ):
         # with 3 CPUs, mixtures 0 and 3 are checked here, 1 and 4 in the
         # first child, 2 and 5 in the second
-        lq = raising_on(17, failing)
+        fake_left_quantile(raising_on(17, failing))
         for n_cpus in (1, 3):
             cpus(n_cpus)
             with within(120), pytest.raises(ValueError, match=f"^{raised}$"):
-                run_suite(GeneratorConfig(seed=17), 6, self.LEVELS, lq_fn=lq)
+                run_suite(GeneratorConfig(seed=17), 6, self.LEVELS)
             self.assert_no_child_left()
 
-    def test_a_child_that_dies_is_an_error(self, cpus):
+    def test_a_child_that_dies_is_an_error(self, cpus, fake_left_quantile):
         caller = os.getpid()
 
         def lq(d, p):
@@ -589,9 +626,10 @@ class TestShardedSuite:
                 os._exit(3)
             return left_quantile(d, p)
 
+        fake_left_quantile(lq)
         cpus(2)
         with within(120), pytest.raises(RuntimeError, match="exited without a result"):
-            run_suite(GeneratorConfig(seed=17), 2, self.LEVELS, lq_fn=lq)
+            run_suite(GeneratorConfig(seed=17), 2, self.LEVELS)
         self.assert_no_child_left()
 
     def test_a_caller_with_threads_runs_serially(self, cpus, monkeypatch):
@@ -612,7 +650,7 @@ class TestShardedSuite:
             other.join(60)
         assert not other.is_alive()
 
-    def test_an_interrupt_here_stops_the_children(self, cpus):
+    def test_an_interrupt_here_stops_the_children(self, cpus, fake_left_quantile):
         # the caller's share is interrupted at once; the children, still
         # checking theirs, are stopped and reaped before the interrupt leaves
         caller = os.getpid()
@@ -622,20 +660,21 @@ class TestShardedSuite:
                 raise _Stop
             return left_quantile(d, p)
 
+        fake_left_quantile(lq)
         cpus(3)
         with within(120), pytest.raises(_Stop):
-            run_suite(GeneratorConfig(seed=17), 30, standard_levels(17), lq_fn=lq)
+            run_suite(GeneratorConfig(seed=17), 30, standard_levels(17))
         self.assert_no_child_left()
 
 
 class TestMutationSensitivity:
-    def test_off_by_one_moves_to_the_next_breakpoint(self, ph_dist):
+    def test_off_by_one_moves_to_the_next_breakpoint(self, ph_dist, off_by_one):
         assert left_quantile(ph_dist, "0.2") == 4.8327
-        assert off_by_one_left_quantile(ph_dist, "0.2") == 4.8492
+        assert off_by_one(ph_dist, "0.2") == 4.8492
 
-    def test_suite_catches_the_mutation(self):
+    def test_suite_catches_the_mutation(self, off_by_one):
         levels = standard_levels(42)[:10]
-        reports = run_suite(GeneratorConfig(seed=42), 6, levels, lq_fn=off_by_one_left_quantile)
+        reports = run_suite(GeneratorConfig(seed=42), 6, levels)
         assert not suite_passed(reports)
         found = first_failure(reports)
         assert found is not None
@@ -671,19 +710,23 @@ class TestLevelFreeChecksOncePerMixture:
     the oracle's grids once per level; each report must still read
     exactly as the checks compute it alone for that one level."""
 
-    @pytest.mark.parametrize("lq_fn", [left_quantile, off_by_one_left_quantile])
-    def test_suite_reports_match_single_level_batteries(self, lq_fn):
+    @pytest.mark.parametrize(
+        "mutated", [False, True], ids=["left_quantile", "off_by_one_left_quantile"]
+    )
+    def test_suite_reports_match_single_level_batteries(self, request, mutated):
+        if mutated:
+            request.getfixturevalue("off_by_one")
         failing = set()
         for seed in (0, 11, 42):
             levels = standard_levels(seed)
-            reports = run_suite(GeneratorConfig(seed=seed), 4, levels, lq_fn=lq_fn)
+            reports = run_suite(GeneratorConfig(seed=seed), 4, levels)
             for i in range(4):
                 d = random_mixture(GeneratorConfig(seed=seed + i))
                 for report in reports[i * len(levels) : (i + 1) * len(levels)]:
-                    alone = check_quantile_properties(d, report.level, lq_fn=lq_fn)
+                    alone = check_quantile_properties(d, report.level)
                     assert report.results[:11] == alone.results, (seed + i, report.level)
                     failing |= {r.check_id for r in alone.failures()}
-        if lq_fn is off_by_one_left_quantile:
+        if mutated:
             assert failing & {"h", "i", "j"}
         else:
             assert not failing

@@ -5,7 +5,9 @@
 
 The command runs the rain examples, the verifier and a generated column of
 --rows rows, whose answers must equal `tools/gen_csv.py --reference`; library
-checks run in a child of this interpreter.  Exits 1 naming a failed check.
+checks run in a child of this interpreter, and the verifier and `symmetry` must
+fail on a source mutant of the package it imports.  Exits 1 naming a failed
+check.
 """
 
 import argparse
@@ -15,6 +17,7 @@ import math
 import os
 import re
 import resource
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -24,6 +27,9 @@ from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
 LEVELS = ["0.1", "0.5", "0.9"]
+# the source mutant: quantiles._lq answers the landmark after the left quantile
+MUTATION = "_lq returns the next landmark"
+MUTATED = ("    return prof.xs[i]\n", "    return prof.xs[min(i + 1, len(prof.xs) - 1)]\n")
 
 
 def run(argv, code=0, label=None):
@@ -50,6 +56,21 @@ def expect(what, got, want):
     print(f"{what}\n  got  {got}\n  want {want}")
     if got != want:
         sys.exit(f"FAILED: {what}")
+
+
+def mutant(package, tmp):
+    """Copy ``package`` under ``tmp`` with MUTATION applied, and return the
+    directory to put on PYTHONPATH; fail unless `_lq` holds the line once."""
+    copy = tmp / "mutant" / package.name
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    source = copy / "quantiles.py"
+    head, sep, rest = source.read_text().partition("\ndef _lq(")
+    body, end, tail = rest.partition("\ndef ")
+    if body.count(MUTATED[0]) != 1:
+        sys.exit(f"FAILED: mutation {MUTATION}: {MUTATED[0].strip()!r} is in "
+                 f"{package / 'quantiles.py'}'s _lq {body.count(MUTATED[0])} times, not once")
+    source.write_text(head + sep + body.replace(*MUTATED) + end + tail)
+    return copy.parent
 
 
 def library(path):
@@ -94,8 +115,9 @@ def main():
     scratch = tempfile.TemporaryDirectory()  # removed at exit, also after a failure
     tmp = Path(scratch.name)
 
-    rain = run([sys.executable, "-c", "import dualquant; print(dualquant.rain_csv_path())"])[0]
-    ph = [rain.strip(), "--column", "pH", "--levels", "0.2,0.8"]
+    find = "import dualquant; print(dualquant.__file__); print(dualquant.rain_csv_path())"
+    init, rain = run([sys.executable, "-c", find])[0].splitlines()
+    ph = [rain, "--column", "pH", "--levels", "0.2,0.8"]
     _, log = run(["env", "PYTHONPROFILEIMPORTTIME=1", *cmd, "quantile", *ph])
     loaded = set(re.findall(r"dualquant\.(quantiles|transforms|verify)\b", log))
     expect("library modules that quantile imports", sorted(loaded), ["quantiles"])
@@ -104,15 +126,21 @@ def main():
     run([*cmd, "transform", *ph, "--map", '{"kind":"negation"}', "--side", "right"])
     run([*cmd, "verify", "--n", "3"])
 
-    # the battery spread over every CPU writes the report of a serial run
+    # the battery spread over every CPU writes the report of a serial run, and
+    # fails on the mutant; the package copy alone is on the mutant's path
     print(f"usable CPUs: {len(os.sched_getaffinity(0))}")
-    for flags, code in ([], 0), (["--inject-mutation"], 1):
+    copy = mutant(Path(init).parent, tmp)
+    mutated = ["env", f"PYTHONPATH={copy}", sys.executable, "-m", "dualquant"]
+    for what, command, code in ("plain", cmd, 0), (MUTATION, mutated, 1):
         digests = []
         for pin in ["taskset", "-c", "0"], []:
             report = tmp / f"report{len(digests)}.json"
-            run([*pin, *cmd, "verify", "--n", "6", "--seed", "9", *flags, "--report", report], code)
+            run([*pin, *command, "verify", "--n", "6", "--seed", "9", "--report", report], code)
             digests.append(hashlib.sha256(report.read_bytes()).hexdigest())
-        expect(f"serial and sharded reports, verify {' '.join(flags) or 'plain'}", *digests)
+        expect(f"serial and sharded reports, verify {what}", *digests)
+    _, log = run([*mutated, "symmetry", *ph], 1)
+    expect(f"symmetry's error line, {MUTATION}", log.splitlines()[-1:],
+           ["error: the negation identity fails at levels 0.2, 0.8"])
 
     # a generated column: the answers equal the generator's own reference
     def generate(n, *reference):
