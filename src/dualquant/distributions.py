@@ -135,14 +135,14 @@ def format_extended(x: Union[float, Fraction]) -> str:
     return repr(float(x))
 
 
-def _exact_positive(value, error_cls, what: str) -> Fraction:
+def _exact_positive(value, what: str) -> Fraction:
     # mass/weight coercion
     try:
         q = as_exact(value)
     except (TypeError, ValueError):
-        raise error_cls(f"{what} must be a positive number, got {value!r}") from None
+        raise BadWeightError(f"{what} must be a positive number, got {value!r}") from None
     if q.numerator <= 0:
-        raise error_cls(f"{what} must be positive, got {value!r}")
+        raise BadWeightError(f"{what} must be positive, got {value!r}")
     return q
 
 
@@ -169,7 +169,7 @@ class Atom:
 
     def __post_init__(self):
         object.__setattr__(self, "location", _finite_float(self.location, "atom location"))
-        object.__setattr__(self, "mass", _exact_positive(self.mass, BadWeightError, "atom mass"))
+        object.__setattr__(self, "mass", _exact_positive(self.mass, "atom mass"))
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,7 @@ class UniformSegment:
             raise BadValueError(f"segment needs lo < hi, got [{self.lo!r}, {self.hi!r}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "mass", _exact_positive(self.mass, BadWeightError, "segment mass"))
+        object.__setattr__(self, "mass", _exact_positive(self.mass, "segment mass"))
 
 
 class _Tables(NamedTuple):
@@ -266,27 +266,27 @@ class MixtureDistribution:
         )
 
     @classmethod
-    def _of_columns(cls, *columns, what="atom location"):
-        # the construction path without parts: tuple columns as `_set_columns`
-        # takes them; ``what`` names an atom location in errors
+    def _of_columns(cls, *columns):
+        # the construction path without parts: tuple columns as `_set_columns` takes them
         d = cls.__new__(cls)
-        d._set_columns(*columns, what=what)
+        d._set_columns(*columns)
         return d
 
-    def _set_columns(self, locs, counts, los=(), his=(), what="atom location"):
+    def _set_columns(self, locs, counts, los=(), his=()):
         # ``locs`` sorted; segments sorted by ``lo``, each with finite ends
         # ``lo < hi``; ``counts`` positive ints, the atoms' then the segments'
         if not locs and not los:
             raise EmptyDataError("a distribution needs at least one atom or segment")
         # one pass: sorted locations that strictly increase hold no nan,
-        # so only the two ends can be infinite
+        # so only the two ends can be infinite; parts and images are checked
+        # before they get here, so a non-finite location is a data value
         if not (
             all(map(operator.lt, locs, islice(locs, 1, None)))
             and all(map(math.isfinite, locs[:1] + locs[-1:]))
         ):
             bad = next((x for x in locs if not math.isfinite(x)), None)
             if bad is not None:
-                raise BadValueError(f"{what} must be finite, got {bad!r}")
+                raise BadValueError(f"data value must be finite, got {bad!r}")
             bad = next(b for a, b in zip(locs, locs[1:]) if not a < b)
             raise BadValueError(f"duplicate atom location {bad!r}")
         if not all(map(operator.le, his, islice(los, 1, None))):
@@ -449,7 +449,7 @@ def make_empirical(
         values = [_finite_float(v, "data value") for v in values]
     # Non-finite floats are refused by the mixture, once per distinct value.
     locs, nums, dens = _pool(values, ws)
-    return MixtureDistribution._of_columns(locs, _common_counts(nums, dens), what="data value")
+    return MixtureDistribution._of_columns(locs, _common_counts(nums, dens))
 
 
 def _pool(
@@ -481,7 +481,7 @@ def _pool(
         nums = {}
         for v, w in zip(values, weights):
             if type(w) not in (int, Fraction) or w.numerator <= 0:
-                w = _exact_positive(w, BadWeightError, "weight")
+                w = _exact_positive(w, "weight")
             n, d = w.numerator, w.denominator
             dv = dens.get(v, 1)
             if d != dv:

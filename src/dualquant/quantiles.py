@@ -60,11 +60,6 @@ class QuantilePair:
                 f"left quantile {self.left} exceeds right quantile {self.right}"
             )
 
-    @property
-    def is_unique(self) -> bool:
-        """True when both inverses agree, i.e. the level has a single quantile."""
-        return self.left == self.right
-
 
 def _invert(prof: _Profile, i: int, p: Probability) -> ExtendedReal:
     # the point of the gap after xs[i] where the affine F reaches p

@@ -334,25 +334,12 @@ def _level_free_checks(d: MixtureDistribution) -> _LevelFree:
     return _LevelFree(h, j, grid, tuple(span * Fraction(k, 8) for k in range(1, 9)))
 
 
-class _AtLevel(NamedTuple):
-    """What checks a-k, S and V share at one level p: lq and rq, and the
-    oracle's candidate grid on d."""
-
-    p: Probability
-    lq: ExtendedReal
-    rq: ExtendedReal
-    grid: _LevelGrid
-
-
-def _at_level(d: MixtureDistribution, grid: _Grid, p: Probability) -> _AtLevel:
-    return _AtLevel(p, left_quantile(d, p), right_quantile(d, p), _candidates(d, grid, p))
-
-
 def _property_results(
-    d: MixtureDistribution, at: _AtLevel, fixed: _LevelFree
+    d: MixtureDistribution, p: Probability, lq: ExtendedReal, rq: ExtendedReal,
+    grid: _LevelGrid, fixed: _LevelFree,
 ) -> list[CheckResult]:
+    # grid is the oracle's candidate grid on d at level p
     out = []
-    p, lq, rq = at.p, at.lq, at.rq
     fc_lq = dist_fn(d, DistFnFlavor.LEFT_CLOSED, lq)
     fo_rq = dist_fn(d, DistFnFlavor.LEFT_OPEN, rq)
 
@@ -375,7 +362,7 @@ def _property_results(
             )
         )
 
-    sup_form = _scan(at.grid, QuantileVariant.RQ_CLOSED_SUP)
+    sup_form = _scan(grid, QuantileVariant.RQ_CLOSED_SUP)
     out.append(
         CheckResult(
             "d", rq == sup_form, f"rq={format_extended(rq)} == sup-form {format_extended(sup_form)}"
@@ -468,9 +455,10 @@ def _shape_witnesses(d: MixtureDistribution, grid: _Grid) -> tuple[bool, bool]:
     return ok_cont, ok_mono
 
 
-def _variant_results(at: _AtLevel, shapes_ok: tuple[bool, bool]) -> list[CheckResult]:
-    lq, rq = at.lq, at.rq
-    forms = [_scan(at.grid, v) for v in QuantileVariant]  # the three lq forms, then the rq ones
+def _variant_results(
+    lq: ExtendedReal, rq: ExtendedReal, grid: _LevelGrid, shapes_ok: tuple[bool, bool]
+) -> list[CheckResult]:
+    forms = [_scan(grid, v) for v in QuantileVariant]  # the three lq forms, then the rq ones
     ok_lq = all(x == lq for x in forms[:3])
     ok_rq = all(x == rq for x in forms[3:])
 
@@ -523,13 +511,18 @@ def _equivariance_results(
             continue
         for side in (QuantileSide.LEFT, QuantileSide.RIGHT):
             try:
-                routed = equivariant_quantile(d, m, p, side)
-            except (ContinuityMismatchError, MapDomainError):
-                # hypothesis not met, or the preimage quantile lies outside
-                # the map's domain closure: the identity is not claimed
-                skipped += 1
+                try:
+                    routed = equivariant_quantile(d, m, p, side)
+                except (ContinuityMismatchError, MapDomainError):
+                    # hypothesis not met, or the preimage quantile lies outside
+                    # the map's domain closure: the identity is not claimed
+                    skipped += 1
+                    continue
+                direct, verdict = check_transport(push, p, side, routed)
+            except Exception as exc:  # a defect: fails E at this level, not raised
+                checked += 1
+                failures.append(f"{name}/{side.value}: raised {type(exc).__name__}: {exc}")
                 continue
-            direct, verdict = check_transport(push, p, side, routed)
             if verdict is Transport.NOT_CLAIMED:
                 skipped += 1
                 continue
@@ -549,8 +542,9 @@ def _equivariance_results(
 def check_quantile_properties(d: MixtureDistribution, p: LevelLike) -> PropertyReport:
     """Run the one-sided quantile property battery (ids a-k) at one level."""
     p = as_level(p)
-    at = _at_level(d, _candidate_table(d), p)
-    results = _property_results(d, at, _level_free_checks(d))
+    lq, rq = left_quantile(d, p), right_quantile(d, p)
+    grid = _candidates(d, _candidate_table(d), p)
+    results = _property_results(d, p, lq, rq, grid, _level_free_checks(d))
     return PropertyReport(describe(d), p, tuple(results))
 
 
@@ -778,11 +772,11 @@ def _mixture_reports(cfg, levels, map_list) -> list[PropertyReport]:
     images = _pushforwards(d, map_list)
     reports = []
     for p in levels:
-        at = _at_level(d, grid, p)
+        lq, rq, level_grid = left_quantile(d, p), right_quantile(d, p), _candidates(d, grid, p)
         results = (
-            _property_results(d, at, fixed)
-            + _symmetry_results(nd, nd_grid, p, at.lq, at.rq)
-            + _variant_results(at, shapes_ok)
+            _property_results(d, p, lq, rq, level_grid, fixed)
+            + _symmetry_results(nd, nd_grid, p, lq, rq)
+            + _variant_results(lq, rq, level_grid, shapes_ok)
             + _equivariance_results(d, p, images)
         )
         reports.append(PropertyReport(label, p, tuple(results)))

@@ -136,7 +136,6 @@ class TestSegmentInversion:
         for p in (Fraction(1, 4), Fraction(1, 2), Fraction(7, 8)):
             pair = quantile_pair(unit_uniform, p)
             assert pair.left == pair.right
-            assert pair.is_unique
 
     def test_mixed_atom_and_segment(self, atom_plus_segment):
         assert left_quantile(atom_plus_segment, Fraction(1, 2)) == 0.0
@@ -153,10 +152,8 @@ class TestPairAndDispatch:
     def test_pair_carries_uniqueness(self, ph_dist):
         pair = quantile_pair(ph_dist, "0.2")
         assert (pair.left, pair.right) == (4.8327, 4.8492)
-        assert not pair.is_unique
         exact = quantile_pair(ph_dist, "0.25")
         assert exact.left == exact.right == 4.8492
-        assert exact.is_unique
 
     def test_pair_rejects_crossed_endpoints(self):
         with pytest.raises(ValueError):

@@ -333,6 +333,60 @@ class TestPropertyChecks:
         assert res.stderr.startswith("first failure: [E] ")
         assert "nd_jump_left: pushforward raised BadValueError" in res.stderr
 
+    def test_a_routing_that_raises_fails_E_and_does_not_crash(self, monkeypatch):
+        # a transported quantile or a verdict that raises is a defect too:
+        # E fails naming the map and side, which count as checked, and
+        # neither run_suite nor the command raises
+        route, judge = dualquant.verify.equivariant_quantile, dualquant.verify.check_transport
+        maps = dict(stock_maps())
+        up, down = maps["affine_up"], maps["affine_down"]
+        levels = standard_levels(42)[::10]
+        want = run_suite(GeneratorConfig(seed=42), 2, levels)
+        routing = []  # the map of the transport check in progress
+
+        def routed(d, m, p, side):
+            routing[:] = [m]
+            if m == up:
+                raise KeyError("affine_up")
+            return route(d, m, p, side)
+
+        def judged(push, p, side, routed):
+            if routing[0] == down:
+                raise ZeroDivisionError("no verdict")
+            return judge(push, p, side, routed)
+
+        monkeypatch.setattr(dualquant.verify, "equivariant_quantile", routed)
+        monkeypatch.setattr(dualquant.verify, "check_transport", judged)
+        named = (
+            "; affine_up/left: raised KeyError: 'affine_up'; "
+            "affine_up/right: raised KeyError: 'affine_up'; "
+            "affine_down/left: raised ZeroDivisionError: no verdict"
+        )
+        d = random_mixture(GeneratorConfig(seed=42))
+        (e,) = _equivariance_results(d, Fraction(1, 2), _pushforwards(d, [("affine_down", down)]))
+        assert not e.passed and (e.checked, e.skipped) == (2, 0)
+        assert e.details.endswith("affine_down/right: raised ZeroDivisionError: no verdict")
+        reports = run_suite(GeneratorConfig(seed=42), 2, levels)
+        assert len(reports) == len(want)
+        for got, base in zip(reports, want):
+            (e,) = [c for c in got.results if c.check_id == "E"]
+            assert not e.passed and e.details.endswith(named)
+            assert [c for c in got.results if c.check_id != "E"] == [
+                c for c in base.results if c.check_id != "E"
+            ]
+        res = CliRunner().invoke(cli_main, ["verify", "--n", "2"])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("first failure: [E] ")
+        assert "affine_up/left: raised KeyError" in res.stderr
+        assert "Traceback" not in res.output + res.stderr
+        # an interrupt is no defect of the battery's: it passes through
+        def interrupted(*args):
+            raise _Stop
+
+        monkeypatch.setattr(dualquant.verify, "check_transport", interrupted)
+        with pytest.raises(_Stop):
+            _equivariance_results(d, Fraction(1, 2), _pushforwards(d, [("affine_down", down)]))
+
     def test_symmetry_battery(self, ph_dist):
         for d in oracle_subjects(ph_dist):
             for p in (Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(1)):

@@ -6,7 +6,7 @@
 The command runs the rain examples, the verifier and a generated column of
 --rows rows, whose answers must equal `tools/gen_csv.py --reference`; library
 checks run in a child of this interpreter, and the verifier and `symmetry` must
-fail on a source mutant of the package it imports.  Exits 1 naming a failed
+fail on source mutants of the package it imports.  Exits 1 naming a failed
 check.
 """
 
@@ -27,9 +27,12 @@ from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
 LEVELS = ["0.1", "0.5", "0.9"]
-# the source mutant: quantiles._lq answers the landmark after the left quantile
-MUTATION = "_lq returns the next landmark"
-MUTATED = ("    return prof.xs[i]\n", "    return prof.xs[min(i + 1, len(prof.xs) - 1)]\n")
+# the source mutants: (name, module, function, line, its replacement)
+NEXT_LANDMARK = ("_lq returns the next landmark", "quantiles.py", "_lq",
+            "    return prof.xs[i]\n", "    return prof.xs[min(i + 1, len(prof.xs) - 1)]\n")
+REFLECTION = ("equivariant_quantile reflects the level as p - 1", "transforms.py",
+              "equivariant_quantile", "    level = p if rising else 1 - p\n",
+              "    level = p if rising else p - 1\n")
 
 
 def run(argv, code=0, label=None):
@@ -58,18 +61,19 @@ def expect(what, got, want):
         sys.exit(f"FAILED: {what}")
 
 
-def mutant(package, tmp):
-    """Copy ``package`` under ``tmp`` with MUTATION applied, and return the
-    directory to put on PYTHONPATH; fail unless `_lq` holds the line once."""
-    copy = tmp / "mutant" / package.name
+def mutant(package, tmp, mutation):
+    """Copy ``package`` under ``tmp`` with ``mutation`` applied, and return the
+    directory to put on PYTHONPATH; fail unless its function holds the line once."""
+    name, module, function, line, replacement = mutation
+    copy = tmp / function / package.name
     shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
-    source = copy / "quantiles.py"
-    head, sep, rest = source.read_text().partition("\ndef _lq(")
+    source = copy / module
+    head, sep, rest = source.read_text().partition(f"\ndef {function}(")
     body, end, tail = rest.partition("\ndef ")
-    if body.count(MUTATED[0]) != 1:
-        sys.exit(f"FAILED: mutation {MUTATION}: {MUTATED[0].strip()!r} is in "
-                 f"{package / 'quantiles.py'}'s _lq {body.count(MUTATED[0])} times, not once")
-    source.write_text(head + sep + body.replace(*MUTATED) + end + tail)
+    if body.count(line) != 1:
+        sys.exit(f"FAILED: mutation {name}: {line.strip()!r} is in "
+                 f"{package / module}'s {function} {body.count(line)} times, not once")
+    source.write_text(head + sep + body.replace(line, replacement) + end + tail)
     return copy.parent
 
 
@@ -129,9 +133,12 @@ def main():
     # the battery spread over every CPU writes the report of a serial run, and
     # fails on the mutant; the package copy alone is on the mutant's path
     print(f"usable CPUs: {len(os.sched_getaffinity(0))}")
-    copy = mutant(Path(init).parent, tmp)
-    mutated = ["env", f"PYTHONPATH={copy}", sys.executable, "-m", "dualquant"]
-    for what, command, code in ("plain", cmd, 0), (MUTATION, mutated, 1):
+
+    def on(copy):
+        return ["env", f"PYTHONPATH={copy}", sys.executable, "-m", "dualquant"]
+
+    mutated = on(mutant(Path(init).parent, tmp, NEXT_LANDMARK))
+    for what, command, code in ("plain", cmd, 0), (NEXT_LANDMARK[0], mutated, 1):
         digests = []
         for pin in ["taskset", "-c", "0"], []:
             report = tmp / f"report{len(digests)}.json"
@@ -139,8 +146,15 @@ def main():
             digests.append(hashlib.sha256(report.read_bytes()).hexdigest())
         expect(f"serial and sharded reports, verify {what}", *digests)
     _, log = run([*mutated, "symmetry", *ph], 1)
-    expect(f"symmetry's error line, {MUTATION}", log.splitlines()[-1:],
+    expect(f"symmetry's error line, {NEXT_LANDMARK[0]}", log.splitlines()[-1:],
            ["error: the negation identity fails at levels 0.2, 0.8"])
+    # a routing that raises fails check E; the battery does not crash
+    _, log = run([*on(mutant(Path(init).parent, tmp, REFLECTION)), "verify", "--n", "3",
+                  "--seed", "9"], 1)
+    last = (log.splitlines() or [""])[-1]
+    expect(f"verify's last error line, and a traceback, {REFLECTION[0]}",
+           (last[:18], "raised BadValueError" in last, "Traceback" in log),
+           ("first failure: [E]", True, False))
 
     # a generated column: the answers equal the generator's own reference
     def generate(n, *reference):
