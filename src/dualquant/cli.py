@@ -198,6 +198,20 @@ def _load_column(path: str, column: str, weights, delimiter: str, header):
     return values, (wvals if wi is not None else None), col_label
 
 
+def _load_data(path: str, column: str, weights, delimiter: str, header, levels_spec: str):
+    """Read the column, then the levels; return (mixture, levels, column label)."""
+    from .distributions import make_empirical
+    from .errors import BadWeightError
+
+    values, wvals, label = _load_column(path, column, weights, delimiter, header)
+    levels = _parse_levels(levels_spec)
+    try:
+        d = make_empirical(values, wvals)
+    except BadWeightError as exc:
+        _fail(EXIT_PARSE, f"{path}: weight column {weights!r}: {exc}")
+    return d, levels, label
+
+
 def _check_delimiter(ctx, param, value: str) -> str:
     try:
         csv.reader((), delimiter=value)
@@ -241,12 +255,10 @@ def quantile(data_file, column, weights, delimiter, header, levels_spec, fmt):
     The 'traditional' column repeats the left quantile, which is what
     the everyday inf-based definition computes.
     """
-    from .distributions import format_extended, make_empirical
+    from .distributions import format_extended
     from .quantiles import quantile_pair
 
-    values, wvals, label = _load_column(data_file, column, weights, delimiter, header)
-    levels = _parse_levels(levels_spec)
-    d = make_empirical(values, wvals)
+    d, levels, label = _load_data(data_file, column, weights, delimiter, header, levels_spec)
     pairs = [quantile_pair(d, p) for p in levels]
     if fmt == "json":
         rows = []
@@ -289,12 +301,10 @@ def symmetry(data_file, column, weights, delimiter, header, levels_spec):
     disagree precisely over flat stretches of the distribution
     function, typically landing one data row apart.
     """
-    from .distributions import format_extended, make_empirical, negate
+    from .distributions import format_extended, negate
     from .quantiles import left_quantile, quantile_pair, right_quantile
 
-    values, wvals, label = _load_column(data_file, column, weights, delimiter, header)
-    levels = _parse_levels(levels_spec)
-    d = make_empirical(values, wvals)
+    d, levels, label = _load_data(data_file, column, weights, delimiter, header, levels_spec)
     nd = negate(d)
     pairs = [quantile_pair(d, p) for p in levels]
     rows = []
@@ -366,14 +376,12 @@ def transform(data_file, column, weights, delimiter, header, levels_spec, map_ar
     two agree whenever the map's one-sided continuity supports the
     requested side; otherwise the command refuses with exit code 6.
     """
-    from .distributions import format_extended, make_empirical
+    from .distributions import format_extended
     from .quantiles import QuantileSide
     from .transforms import check_transport, equivariant_quantile, pushforward
 
     m = _load_map(map_arg)
-    values, wvals, label = _load_column(data_file, column, weights, delimiter, header)
-    levels = _parse_levels(levels_spec)
-    d = make_empirical(values, wvals)
+    d, levels, label = _load_data(data_file, column, weights, delimiter, header, levels_spec)
     try:
         push = pushforward(d, m)
     except (UnsupportedPushforwardError, MapDomainError) as exc:

@@ -59,6 +59,10 @@ Probability = Fraction
 # The largest decimal exponent, in magnitude, that `as_exact` reads.
 MAX_EXPONENT = 10_000
 
+# The most bits that `make_empirical` lets a weighted column's counts
+# take: distinct values times the bit length of the common denominator.
+MAX_COUNT_BITS = 2**30
+
 
 def as_exact(value: Union[int, float, str, Fraction]) -> Fraction:
     """Read ``value`` as an exact rational.
@@ -437,7 +441,8 @@ def make_empirical(
     be positive, and an ``int`` or `Fraction` weight is taken as it is.
     `_pool` pools them, the same routine that pools a pushforward's
     images, and its masses become the mixture's count column over one
-    common denominator; no `Atom` is built.
+    common denominator; no `Atom` is built.  Weights whose counts would
+    take more than `MAX_COUNT_BITS` bits raise `BadWeightError`.
     """
     values = list(values)
     if not values:
@@ -449,6 +454,12 @@ def make_empirical(
         values = [_finite_float(v, "data value") for v in values]
     # Non-finite floats are refused by the mixture, once per distinct value.
     locs, nums, dens = _pool(values, ws)
+    bits = 0 if dens.count(1) == len(dens) else math.lcm(*dens).bit_length()
+    if len(locs) * bits > MAX_COUNT_BITS:
+        raise BadWeightError(
+            f"the weights' common denominator has {bits} bits, too many for "
+            f"{len(locs)} distinct values (at most {MAX_COUNT_BITS} bits in all)"
+        )
     return MixtureDistribution._of_columns(locs, _common_counts(nums, dens))
 
 
@@ -559,31 +570,22 @@ def breakpoints(d: MixtureDistribution) -> tuple[float, ...]:
     return d._breakpoints
 
 
-def is_continuous(d: MixtureDistribution, flavor: DistFnFlavor) -> bool:
-    """Whether the chosen distribution function is continuous everywhere.
-
-    The answer cannot depend on the flavor (all four jump exactly at
-    the atoms); the parameter exists so callers can ask the question in
-    whichever form they hold, and so the verifier can confirm the
-    flavor-independence.
-    """
-    if not isinstance(flavor, DistFnFlavor):
-        raise TypeError(f"flavor must be a DistFnFlavor, got {flavor!r}")
+def is_continuous(d: MixtureDistribution) -> bool:
+    """Whether the distribution function is continuous everywhere; one
+    answer holds for all four flavors, as they all jump at the atoms."""
     return not d._locs
 
 
-def is_strictly_monotone_on_hull(d: MixtureDistribution, flavor: DistFnFlavor) -> bool:
+def is_strictly_monotone_on_hull(d: MixtureDistribution) -> bool:
     """Whether the distribution function is strictly monotone on the
     convex hull of the support.
 
     True exactly when the support has no interior gap: every open
     subinterval of [ess_inf, ess_sup] carries positive mass.  (On all
     of R no compactly supported distribution function is strictly
-    monotone, hence the hull restriction.)  Flavor-independent, for the
-    same reason as `is_continuous`.
+    monotone, hence the hull restriction.)  One answer holds for all
+    four flavors, since they all stay flat on the same gaps.
     """
-    if not isinstance(flavor, DistFnFlavor):
-        raise TypeError(f"flavor must be a DistFnFlavor, got {flavor!r}")
     prof = d._profile
     # F rises across every gap between two landmarks
     return all(map(operator.lt, prof.cdf, prof.below_next[:-1]))

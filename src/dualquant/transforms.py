@@ -119,8 +119,8 @@ class PiecewiseMonotoneMap:
     breakpoint carries a Continuity flag naming the piece whose formula
     holds AT the breakpoint.  The flags decide one-sided continuity,
     which in turn decides which equivariance identities are available.
-    The breakpoints (the pieces' interior ends) and both answers are
-    worked out once, at construction.
+    The breakpoints (the pieces' interior ends) and both answers, the
+    attributes `left_continuous` and `right_continuous`, are set once.
     """
 
     pieces: tuple[MapPiece, ...]
@@ -166,14 +166,8 @@ class PiecewiseMonotoneMap:
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "continuity", cont)
         object.__setattr__(self, "breakpoints", tuple(p.hi for p in pieces[:-1]))
-        object.__setattr__(self, "_left_continuous", owners <= {Continuity.LEFT})
-        object.__setattr__(self, "_right_continuous", owners <= {Continuity.RIGHT})
-
-    def is_left_continuous(self) -> bool:
-        return self._left_continuous
-
-    def is_right_continuous(self) -> bool:
-        return self._right_continuous
+        object.__setattr__(self, "left_continuous", owners <= {Continuity.LEFT})
+        object.__setattr__(self, "right_continuous", owners <= {Continuity.RIGHT})
 
 
 class SmoothKind(Enum):
@@ -187,16 +181,11 @@ class SmoothMonotoneMap:
 
     kind: SmoothKind
     direction = Direction.NON_INCREASING
+    left_continuous = right_continuous = True
 
     def __post_init__(self):
         if not isinstance(self.kind, SmoothKind):
             raise MapSpecError(f"bad smooth map kind {self.kind!r}")
-
-    def is_left_continuous(self) -> bool:
-        return True
-
-    def is_right_continuous(self) -> bool:
-        return True
 
 
 MonotoneMap = Union[PiecewiseMonotoneMap, SmoothMonotoneMap]
@@ -366,7 +355,7 @@ def equivariant_quantile(
         raise TypeError(f"side must be a QuantileSide, got {side!r}")
     rising = m.direction is Direction.NON_DECREASING
     needs_left = (side is QuantileSide.LEFT) == rising
-    if not (m.is_left_continuous() if needs_left else m.is_right_continuous()):
+    if not (m.left_continuous if needs_left else m.right_continuous):
         raise ContinuityMismatchError(
             f"{side.value}-quantile equivariance through a "
             f"{m.direction.value.replace('_', '-')} map requires a "

@@ -441,18 +441,14 @@ def _symmetry_results(
 
 
 def _shape_witnesses(d: MixtureDistribution, grid: _Grid) -> tuple[bool, bool]:
-    # flavor independence of the shape predicates, against structure-free
-    # oracles read off d's grid: a jump is a gap between P(X<=b) and P(X<b)
-    # at a breakpoint, a monotonicity flat is a massless open interval
-    # between breakpoints, one that the grid's crossings leave out
+    # the shape predicates against structure-free witnesses read off d's
+    # grid: a jump is a gap between P(X<=b) and P(X<b) at a breakpoint, a
+    # monotonicity flat is a massless open interval between breakpoints,
+    # one that the grid's crossings leave out
     at_bps = grid.cells[1::2]
     has_jump = any(fc != fo for _, fc, fo in at_bps)
-    cont_answers = {is_continuous(d, fl) for fl in DistFnFlavor}
-    ok_cont = cont_answers == {not has_jump}
     has_gap = len(grid.crossings) < len(at_bps) - 1
-    mono_answers = {is_strictly_monotone_on_hull(d, fl) for fl in DistFnFlavor}
-    ok_mono = mono_answers == {not has_gap}
-    return ok_cont, ok_mono
+    return is_continuous(d) == (not has_jump), is_strictly_monotone_on_hull(d) == (not has_gap)
 
 
 def _variant_results(

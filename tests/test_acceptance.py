@@ -14,7 +14,6 @@ import pytest
 from click.testing import CliRunner
 
 from dualquant import (
-    DistFnFlavor,
     GeneratorConfig,
     MixtureDistribution,
     PiecewiseMonotoneMap,
@@ -223,11 +222,9 @@ class TestCriterion6:
                 UniformSegment(2.0, 3.0, Fraction(1, 2)),
             ),
         )
-        witness_ok = True
-        for fl in DistFnFlavor:
-            witness_ok &= is_continuous(touching, fl) and is_strictly_monotone_on_hull(touching, fl)
-            witness_ok &= is_continuous(gapped, fl) and not is_strictly_monotone_on_hull(gapped, fl)
-            witness_ok &= not is_continuous(ph_dist, fl)
+        witness_ok = is_continuous(touching) and is_strictly_monotone_on_hull(touching)
+        witness_ok &= is_continuous(gapped) and not is_strictly_monotone_on_hull(gapped)
+        witness_ok &= not is_continuous(ph_dist)
         _conclude(
             6,
             "shape predicates are flavor-independent and witnesses behave",
@@ -248,7 +245,7 @@ class TestCriterion7:
 
         lib = stock_maps()
         piecewise_cells = {
-            (m.direction.value, m.is_left_continuous(), m.is_right_continuous())
+            (m.direction.value, m.left_continuous, m.right_continuous)
             for _, m in lib
             if isinstance(m, PiecewiseMonotoneMap)
         }

@@ -15,6 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 import dualquant.cli
+import dualquant.distributions
 import dualquant.quantiles
 import dualquant.verify
 from dualquant import rain_csv_path
@@ -211,6 +212,26 @@ class TestExitCodes:
         )
         assert res.exit_code == 3
         assert "weight" in res.stderr
+
+    def test_weights_past_the_count_budget_are_3_naming_the_column(
+        self, runner, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(dualquant.distributions, "MAX_COUNT_BITS", 7)
+        f = tmp_path / "w.csv"
+        f.write_text("v,w\n1.0,1/3\n2.0,1/5\n")
+        read = [str(f), "--column", "v", "--weights", "w", "--levels"]
+        negation = ["--map", '{"kind":"negation"}']
+        for command in (["quantile"], ["symmetry"], ["transform", *negation]):
+            res = runner.invoke(main, [*command, *read, "0.5"])
+            assert res.exit_code == 3, command
+            assert res.stderr == (
+                f"error: {f}: weight column 'w': the weights' common denominator has 4 bits, "
+                "too many for 2 distinct values (at most 7 bits in all)\n"
+            )
+        # a bad level is reported first, and before it transform's bad map
+        assert runner.invoke(main, ["quantile", *read, "2"]).exit_code == 4
+        res = runner.invoke(main, ["transform", "--map", '{"kind":"nope"}', *read, "2"])
+        assert res.exit_code == 5
 
     def test_bad_level_is_4(self, runner, rain):
         res = runner.invoke(main, ["quantile", rain, "--column", "pH", "--levels", "1.5"])

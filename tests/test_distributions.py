@@ -281,6 +281,23 @@ class TestConstruction:
                 for x in xs:
                     assert dist_fn(d, flavor, x) == dist_fn_by_parts(d, flavor, x), (flavor, x)
 
+    def test_weights_are_bounded_by_the_bits_of_their_counts(self, monkeypatch):
+        # two distinct values over the common denominator 15, of 4 bits: 8 count bits
+        assert distributions.MAX_COUNT_BITS == 2**30
+        values, weights = [1.0, 1.0, 2.0], [Fraction(1, 3), Fraction(1, 3), Fraction(1, 5)]
+        monkeypatch.setattr(distributions, "MAX_COUNT_BITS", 8)
+        d = make_empirical(values, weights)
+        assert d.atoms == (Atom(1.0, Fraction(10, 13)), Atom(2.0, Fraction(3, 13)))
+        monkeypatch.setattr(distributions, "MAX_COUNT_BITS", 7)
+        message = r"has 4 bits, too many for 2 distinct values \(at most 7 bits in all\)"
+        with pytest.raises(BadWeightError, match=message):
+            make_empirical(values, weights)
+
+    @pytest.mark.parametrize("weights", [None, [1, 2], ["3", Fraction(4, 2)]])
+    def test_whole_weights_take_no_count_budget(self, monkeypatch, weights):
+        monkeypatch.setattr(distributions, "MAX_COUNT_BITS", 0)
+        assert len(make_empirical([1.0, 2.0], weights).atoms) == 2
+
     def test_rejects_weights_with_huge_exponents(self):
         with pytest.raises(BadWeightError):
             make_empirical([1.0, 2.0], weights=[1, "1e-3000000"])
@@ -740,38 +757,29 @@ class TestShapePredicates:
         assert math.copysign(1.0, breakpoints(pos_zero)[0]) == 1.0
 
     def test_continuity_means_no_atoms(self, ph_dist, touching_segments):
-        for flavor in ALL_FLAVORS:
-            assert not is_continuous(ph_dist, flavor)
-            assert is_continuous(touching_segments, flavor)
+        assert not is_continuous(ph_dist)
+        assert is_continuous(touching_segments)
 
     def test_strict_monotonicity_witnesses(
         self, ph_dist, touching_segments, gapped_segments, atom_in_segment
     ):
         single = make_empirical([1.5])
-        for flavor in ALL_FLAVORS:
-            assert is_strictly_monotone_on_hull(touching_segments, flavor)
-            assert not is_strictly_monotone_on_hull(gapped_segments, flavor)
-            assert not is_strictly_monotone_on_hull(ph_dist, flavor)  # flat between atoms
-            assert is_strictly_monotone_on_hull(atom_in_segment, flavor)
-            assert is_strictly_monotone_on_hull(single, flavor)
-
-    def test_predicates_are_flavor_independent(
-        self, ph_dist, touching_segments, gapped_segments, atom_in_segment
-    ):
-        for d in (ph_dist, touching_segments, gapped_segments, atom_in_segment):
-            assert len({is_continuous(d, fl) for fl in ALL_FLAVORS}) == 1
-            assert len({is_strictly_monotone_on_hull(d, fl) for fl in ALL_FLAVORS}) == 1
+        assert is_strictly_monotone_on_hull(touching_segments)
+        assert not is_strictly_monotone_on_hull(gapped_segments)
+        assert not is_strictly_monotone_on_hull(ph_dist)  # flat between atoms
+        assert is_strictly_monotone_on_hull(atom_in_segment)
+        assert is_strictly_monotone_on_hull(single)
 
 
 class TestTypeGuards:
     @pytest.mark.parametrize(
-        "query", [dist_fn, is_continuous, is_strictly_monotone_on_hull], ids=lambda f: f.__name__
+        "flavor",
+        ["left_closed", None, QuantileSide.LEFT],
+        ids=["left_closed-dist_fn", "None-dist_fn", "QuantileSide.LEFT-dist_fn"],
     )
-    @pytest.mark.parametrize("flavor", ["left_closed", None, QuantileSide.LEFT])
-    def test_a_flavor_must_be_a_dist_fn_flavor(self, atom_in_segment, query, flavor):
-        args = (0.5,) if query is dist_fn else ()
+    def test_a_flavor_must_be_a_dist_fn_flavor(self, atom_in_segment, flavor):
         with pytest.raises(TypeError, match="flavor must be a DistFnFlavor"):
-            query(atom_in_segment, flavor, *args)
+            dist_fn(atom_in_segment, flavor, 0.5)
 
     @pytest.mark.parametrize("other", [None, 1, "x", Atom(0.5, 1), (Atom(0.5, 1),)])
     def test_equality_with_a_non_mixture_is_left_to_the_other_side(self, other):

@@ -117,7 +117,7 @@ class TestApplySmooth:
 
     def test_smooth_maps_are_continuous_both_ways(self):
         for m in (negation_map(), affine_map(0.5), pow10_neg_map(), neglog10_map()):
-            assert m.is_left_continuous() and m.is_right_continuous()
+            assert m.left_continuous and m.right_continuous
 
 
 class TestApplyPiecewise:
@@ -146,10 +146,10 @@ class TestApplyPiecewise:
         assert apply_map(STOCK["nd_jump_right"], Fraction(2, 3)) == Fraction(2, 3) + 1
 
     def test_continuity_flags(self):
-        assert STOCK["nd_jump_left"].is_left_continuous()
-        assert not STOCK["nd_jump_left"].is_right_continuous()
-        assert STOCK["nd_jump_right"].is_right_continuous()
-        assert not STOCK["nd_jump_right"].is_left_continuous()
+        assert STOCK["nd_jump_left"].left_continuous
+        assert not STOCK["nd_jump_left"].right_continuous
+        assert STOCK["nd_jump_right"].right_continuous
+        assert not STOCK["nd_jump_right"].left_continuous
 
 
 class TestMapValidation:
@@ -534,9 +534,9 @@ class TestMapSpecs:
     def test_round_trip_keeps_the_continuity_answers(self, name):
         m = STOCK[name]
         again = map_from_spec(map_to_spec(m))
-        assert (again.is_left_continuous(), again.is_right_continuous()) == (
-            m.is_left_continuous(),
-            m.is_right_continuous(),
+        assert (again.left_continuous, again.right_continuous) == (
+            m.left_continuous,
+            m.right_continuous,
         )
 
     def test_piecewise_spec_uses_inf_strings(self):
@@ -684,8 +684,8 @@ class TestPieceOwnershipOnRandomMaps:
     def test_draws_cover_the_shapes(self):
         assert 1000 <= len(RANDOM_MAPS) <= 1500
         assert {len(m.pieces) for m in RANDOM_MAPS} == {1, 2, 3, 4, 5}
-        assert any(not m.is_left_continuous() for m in RANDOM_MAPS)
-        assert any(not m.is_right_continuous() for m in RANDOM_MAPS)
+        assert any(not m.left_continuous for m in RANDOM_MAPS)
+        assert any(not m.right_continuous for m in RANDOM_MAPS)
 
     def test_apply_map_follows_the_documented_rule(self):
         extra = [-INF, INF, 1 / 3, -7 / 5, Fraction(1, 3), Fraction(-7, 5)]

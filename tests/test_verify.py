@@ -742,7 +742,7 @@ class TestStockMaps:
         assert len(lib) == 11
         piecewise = [m for _, m in lib if isinstance(m, PiecewiseMonotoneMap)]
         cells = {
-            (m.direction, m.is_left_continuous(), m.is_right_continuous()) for m in piecewise
+            (m.direction, m.left_continuous, m.right_continuous) for m in piecewise
         }
         # every direction x one-sided-continuity combination is exercised
         assert (Direction.NON_DECREASING, True, False) in cells
@@ -820,10 +820,8 @@ def reference_shape_witnesses(d):
         dist_fn(d, DistFnFlavor.LEFT_OPEN, b) - dist_fn(d, DistFnFlavor.LEFT_CLOSED, a) == 0
         for a, b in zip(bps, bps[1:])
     )
-    ok_cont = {dualquant.verify.is_continuous(d, fl) for fl in DistFnFlavor} == {not has_jump}
-    ok_mono = {
-        dualquant.verify.is_strictly_monotone_on_hull(d, fl) for fl in DistFnFlavor
-    } == {not has_gap}
+    ok_cont = dualquant.verify.is_continuous(d) == (not has_jump)
+    ok_mono = dualquant.verify.is_strictly_monotone_on_hull(d) == (not has_gap)
     return ok_cont, ok_mono
 
 
@@ -871,8 +869,8 @@ class TestShapeWitnesses:
     def test_finds_the_same_jumps_and_gaps(self, monkeypatch):
         # with both shape predicates answering True, each flag of the pair
         # reads "no jump" and "no gap", so the pair shows the witnesses
-        monkeypatch.setattr(dualquant.verify, "is_continuous", lambda d, fl: True)
-        monkeypatch.setattr(dualquant.verify, "is_strictly_monotone_on_hull", lambda d, fl: True)
+        monkeypatch.setattr(dualquant.verify, "is_continuous", lambda d: True)
+        monkeypatch.setattr(dualquant.verify, "is_strictly_monotone_on_hull", lambda d: True)
         seen = set()
         for d in witness_subjects():
             pair = _shape_witnesses(d, _candidate_table(d))

@@ -4,10 +4,11 @@
     python tools/smoke.py --rows 10000 -- python -m dualquant
 
 The command runs the rain examples, the verifier and a generated column of
---rows rows, whose answers must equal `tools/gen_csv.py --reference`; library
-checks run in a child of this interpreter, and the verifier and `symmetry` must
-fail on source mutants of the package it imports.  Exits 1 naming a failed
-check.
+--rows rows, whose answers must equal `tools/gen_csv.py --reference`, and a
+weight column of 12,000 coprime denominators, which it must refuse in little
+memory; library checks run in a child of this interpreter, and the verifier and
+`symmetry` must fail on source mutants of the package it imports.  Exits 1
+naming a failed check.
 """
 
 import argparse
@@ -35,10 +36,11 @@ REFLECTION = ("equivariant_quantile reflects the level as p - 1", "transforms.py
               "    level = p if rising else p - 1\n")
 
 
-def run(argv, code=0, label=None):
-    """Run ``argv``, fail unless it exits with ``code``, return its stdout and
-    stderr.  With a label, print the child's wall time and peak RSS; os.wait4
-    gives this child's own, where RUSAGE_CHILDREN gives the largest so far."""
+def run(argv, code=0, label=None, max_mib=None):
+    """Run ``argv``, fail unless it exits with ``code`` (and, given ``max_mib``,
+    peaks under that many MiB), return its stdout and stderr.  With a label,
+    print the child's wall time and peak RSS; os.wait4 gives this child's own,
+    where RUSAGE_CHILDREN gives the largest so far."""
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         start = time.perf_counter()
         child = subprocess.Popen(argv, stdin=subprocess.DEVNULL, stdout=out, stderr=err)
@@ -50,9 +52,22 @@ def run(argv, code=0, label=None):
     if child.returncode != code:
         sys.exit(f"FAILED: {label or ' '.join(map(str, argv))} exited {child.returncode}, "
                  f"not {code}\n{stderr[-2000:]}")
+    peak = usage.ru_maxrss / 1024
     if label:
-        print(f"{label}: {wall:.2f} s, peak RSS {usage.ru_maxrss / 1024:.1f} MiB")
+        print(f"{label}: {wall:.2f} s, peak RSS {peak:.1f} MiB")
+    if max_mib is not None and peak > max_mib:
+        sys.exit(f"FAILED: {label or ' '.join(map(str, argv))} peaked at {peak:.1f} MiB, "
+                 f"over {max_mib}")
     return stdout, stderr
+
+
+def first_primes(n):
+    limit = 200_000  # past the 12,000th prime, 128,189
+    sieve = bytearray([1]) * limit
+    for k in range(2, math.isqrt(limit) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = bytes(len(range(k * k, limit, k)))
+    return [k for k in range(2, limit) if sieve[k]][:n]
 
 
 def expect(what, got, want):
@@ -97,7 +112,7 @@ def library(path):
     for p in map(Fraction, LEVELS):
         timed(f"{len(xs) - 1} segments, first query at p={p}", lambda: quantile_pair(touching, p))
         print(f"  peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MiB")
-    primes = [k for k in range(2, 30_000) if all(k % q for q in range(2, math.isqrt(k) + 1))][:3000]
+    primes = first_primes(3000)
     d = make_empirical([float(p) for p in primes], [Fraction(1, p) for p in primes])
     h = timed("hash, 3000 prime weights", lambda: hash(d))
     nd = timed("negate, 3000 prime weights", lambda: negate(d))
@@ -186,6 +201,14 @@ def main():
                      label=f"transform, {rows} rows, {name}")
         got = [(repr(float(row.split()[1])), row.split()[3]) for row in out.splitlines()[1:]]
         expect(f"{name} transform answers", got, [(repr(rule(r["left"])), "yes") for r in ref])
+
+    # weights 1/p over 12,000 primes would make counts of ~180k bits each, past
+    # the budget of MAX_COUNT_BITS: refused, naming the weight column, in little memory
+    heavy = tmp / "primes.csv"
+    heavy.write_text("".join(f"{p}.0,1/{p}\n" for p in first_primes(12_000)))
+    _, log = run([*cmd, "quantile", heavy, "--weights", "1", "--levels", ",".join(LEVELS)], 3,
+                 label="quantile, 12000 prime weights", max_mib=64)
+    expect("the refusal names the weight column", "weight column '1'" in log, True)
 
     # the library checks, on a column one tenth as long
     mid.write_text(generate(rows // 10))
