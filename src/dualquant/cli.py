@@ -16,10 +16,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import sys
 import time
 from bisect import bisect_left
-from itertools import chain
+from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -54,11 +56,30 @@ def _print_table(headers: list[str], rows: list[list[str]]) -> None:
         click.echo("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
 
 
+def _past_int_limit(token: str) -> str | None:
+    # why a well-formed number fails to parse when only Python's int digit
+    # limit stops it, else None: with each run of digits past the limit cut
+    # to one digit, the token must parse
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
+    too_long = re.compile(rf"\d{{{limit + 1},}}")
+    runs = too_long.findall(token) if limit else ()
+    if not runs:
+        return None
+    from .distributions import as_exact
+
+    try:
+        as_exact(too_long.sub("1", token))
+    except ValueError:
+        return None
+    return (f"holds a {max(map(len, runs))}-digit number, past Python's int limit "
+            f"of {limit} digits (sys.get_int_max_str_digits())")
+
+
 def _parse_levels(spec: str) -> list[Fraction]:
     from .distributions import as_exact
 
     out = []
-    for raw in spec.split(","):
+    for k, raw in enumerate(spec.split(","), 1):
         tok = raw.strip()
         if not tok:
             _fail(EXIT_LEVEL, f"empty level in {spec!r}")
@@ -69,7 +90,8 @@ def _parse_levels(spec: str) -> list[Fraction]:
         try:
             level = as_exact(tok) / denom
         except ValueError:
-            _fail(EXIT_LEVEL, f"cannot parse level {raw.strip()!r}")
+            why = _past_int_limit(tok)
+            _fail(EXIT_LEVEL, f"level #{k} {why}" if why else f"cannot parse level {raw.strip()!r}")
         if not 0 <= level <= 1:
             _fail(EXIT_LEVEL, f"level {raw.strip()!r} lies outside [0, 1]")
         out.append(level)
@@ -128,6 +150,42 @@ def _nonblank_rows(reader, path: str):
         _fail(EXIT_PARSE, f"{path}: line {start}: {exc}")
 
 
+_BLOCK_ROWS = 512  # rows held at a time; 4096 raised peak RSS by about 1 MiB and read no faster
+
+
+def _read_blocks(lines, start: int, stop: int, delimiter: str, ci: int, wi, width: int):
+    """Read the value column, and the weight column if ``wi`` is an index,
+    of ``lines[start:stop]`` a block of rows at a time; return
+    (values, weights-or-None), or None if some row needs the per-row loop.
+
+    That is a blank or short row, a record that ends past its line or
+    any csv.Error, a cell that float or int refuses, a value that is not
+    finite, or a weight cell that is not all ASCII digits or is zero.
+    """
+    reader = csv.reader(islice(lines, start, stop), delimiter=delimiter, strict=True)
+    values: list[float] = []
+    wvals: list[int] | None = None if wi is None else []
+    try:
+        while block := list(islice(reader, _BLOCK_ROWS)):
+            # a blank row's cells are all blank, which float refuses
+            if min(map(len, block)) < width:
+                return None
+            values += map(float, map(itemgetter(ci), block))
+            if wvals is not None:
+                cells = list(map(itemgetter(wi), block))
+                digits = "".join(cells)
+                if not (digits.isascii() and digits.isdigit()):
+                    return None
+                wvals += map(int, cells)  # an empty cell raises here
+    except (csv.Error, ValueError):
+        return None
+    if len(values) != stop - start or not all(map(math.isfinite, values)):
+        return None  # a record took more than one line, or a value is nan or inf
+    if wvals is not None and not min(wvals):
+        return None
+    return values, wvals
+
+
 def _load_column(path: str, column: str, weights, delimiter: str, header):
     """Read one value column (and optional weight column) from a
     delimited text file.  Returns (values, weights-or-None, column label)."""
@@ -135,7 +193,8 @@ def _load_column(path: str, column: str, weights, delimiter: str, header):
 
     # read_text has turned \r\n and \r into \n, the one line break left;
     # splitlines would also break at \f, \x1c, U+2028 and the like inside a cell
-    reader = csv.reader(_read_text(path).split("\n"), delimiter=delimiter, strict=True)
+    lines = _read_text(path).split("\n")
+    reader = csv.reader(lines, delimiter=delimiter, strict=True)
     # the header row is stripped whole, a data row only in the cells read below
     rows = _nonblank_rows(reader, path)
     first = next(rows, None)
@@ -170,6 +229,11 @@ def _load_column(path: str, column: str, weights, delimiter: str, header):
     col_label = header_row[ci] if header_row else f"column {ci}"
     w_label = (header_row[wi] if header_row else f"column {wi}") if wi is not None else None
 
+    # the data rows from the first on, less the "" after the last line break
+    read = _read_blocks(lines, first[0] - 1, len(lines) - (lines[-1] == ""), delimiter, ci, wi, width)
+    if read is not None:
+        return (*read, col_label)
+    # else row by row, the one source of this column's error messages
     values: list[float] = []
     wvals: list[int | Fraction] = []
     for line_num, row in chain((first,), rows):
@@ -191,7 +255,9 @@ def _load_column(path: str, column: str, weights, delimiter: str, header):
                 # without the regex; make_empirical takes it as it is
                 w = int(wcell) if wcell.isascii() and wcell.isdigit() else as_exact(wcell)
             except ValueError:
-                _fail(EXIT_PARSE, f"{path}: line {line_num}, {w_label}: cannot parse weight {wcell!r}")
+                why = _past_int_limit(wcell)
+                _fail(EXIT_PARSE, f"{path}: line {line_num}, {w_label}: "
+                      + (f"weight {why}" if why else f"cannot parse weight {wcell!r}"))
             if w.numerator <= 0:
                 _fail(EXIT_PARSE, f"{path}: line {line_num}, {w_label}: weight must be positive, got {wcell!r}")
             wvals.append(w)

@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, compress, islice
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import BadValueError, BadWeightError, EmptyDataError
@@ -473,23 +472,27 @@ def _pool(
     A weight that is not a positive ``int`` or `Fraction` goes through
     `_exact_positive`.
     """
+    if weights is None:
+        # one stable sort; each run of equal values is an atom, named by its
+        # first, which is the first seen, so -0.0 or 0.0 names the atom
+        s = sorted(values)
+        starts = [0, *compress(range(1, len(s)), map(operator.ne, islice(s, 1, None), s))]
+        counts = map(operator.sub, chain(islice(starts, 1, None), (len(s),)), starts)
+        return tuple(map(s.__getitem__, starts)), tuple(counts), (1,) * len(starts)
     # Pool integer numerators, each value's over the common denominator of
     # its own weights, kept in ``dens`` where it is not 1: per row this is
     # integer work on numbers that grow with the denominators of that
     # value's weights only, not with every denominator in the column.  A
     # dict keeps the first of equal keys, so -0.0 or 0.0 names the atom.
     dens: dict[float, int] = {}
-    if weights is None:
-        nums = Counter(values)
-    elif set(map(type, weights)) == {int} and min(weights) > 0:
+    nums: dict[float, int] = {}
+    if set(map(type, weights)) == {int} and min(weights) > 0:
         # positive int counts, tested once for the column (a bool is no
         # int here, and is refused below): a bare sum, no dens to keep
-        nums = {}
         get = nums.get
         for v, w in zip(values, weights):
             nums[v] = get(v, 0) + w
     else:
-        nums = {}
         for v, w in zip(values, weights):
             if type(w) not in (int, Fraction) or w.numerator <= 0:
                 w = _exact_positive(w, "weight")

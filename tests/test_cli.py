@@ -254,6 +254,33 @@ class TestExitCodes:
         assert res.exit_code == 3
         assert f"line 3, w: cannot parse weight {cell!r}" in res.stderr
 
+    def test_a_weight_past_the_int_digit_limit_is_3_naming_the_limit(self, runner, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        f = tmp_path / "w.csv"
+        f.write_text(f"v,w\n1.0,1\n2.0,{'7' * (limit + 700)}\n")
+        res = runner.invoke(
+            main, ["quantile", str(f), "--column", "v", "--weights", "w", "--levels", "0.5"]
+        )
+        assert res.exit_code == 3
+        assert res.stderr == (
+            f"error: {f}: line 3, w: weight holds a {limit + 700}-digit number, past Python's "
+            f"int limit of {limit} digits (sys.get_int_max_str_digits())\n"
+        )
+
+    def test_a_level_past_the_int_digit_limit_is_4_naming_the_limit(self, runner, rain):
+        limit = sys.get_int_max_str_digits()
+        levels = f"0.5,1/{'3' * (limit + 700)}"
+        res = runner.invoke(main, ["quantile", rain, "--column", "pH", "--levels", levels])
+        assert res.exit_code == 4
+        assert res.stderr == (
+            f"error: level #2 holds a {limit + 700}-digit number, past Python's int limit "
+            f"of {limit} digits (sys.get_int_max_str_digits())\n"
+        )
+        # a malformed token with a long run of digits is only unparseable
+        res = runner.invoke(main, ["quantile", rain, "--column", "pH", "--levels", "x" + levels])
+        assert res.exit_code == 4
+        assert "cannot parse level 'x0.5'" in res.stderr
+
     def test_bad_map_spec_is_5(self, runner, rain):
         res = runner.invoke(
             main,
@@ -416,6 +443,73 @@ class TestExitCodes:
         want = runner.invoke(main, ["quantile", str(plain), *args])
         assert res.exit_code == want.exit_code == 0
         assert res.stdout == want.stdout
+
+
+# (id, file bytes, the quantile options after the file, whether the block reader takes it)
+READER_CASES = [
+    ("plain", b"v\n3.0\n1.0\n2.0\n1.0\n", ["--column", "v"], True),
+    ("int-weights", b"v,w\n1.0,3\n2.0,5\n1.0,07\n", ["--column", "v", "--weights", "w"], True),
+    ("field-past-the-limit", b"v,w\n1.0,x\n2.0," + b"y" * 140_000 + b"\n", ["--column", "v"], False),
+    ("quote-open-on-its-line", b'v,note\n1.0,x\n2.0,"y\n3.0,z\n', ["--column", "v"], False),
+    ("quote-closed-a-line-later", b'v,note\n1.0,x\n2.0,"y\n3.0,z"\n4.0,w\n', ["--column", "v"],
+     False),
+    ("x1c-in-a-cell", b"v,note\n1.0,x\x1c5.0\n2.0,y\n", ["--column", "v"], True),
+    # str.strip drops \x1c, float does not
+    ("x1c-after-a-value", b"v,note\n1.0,x\n2.0\x1c,y\n", ["--column", "v"], False),
+    ("form-feed-in-a-cell", b"v,note\n1.0,x\x0c5.0\n\x0c2.0,y\n", ["--column", "v"], True),
+    ("blank-row", b"v\n1.0\n\n2.0\n", ["--column", "v"], False),
+    ("whitespace-row", b"v,w\n1.0,2\n  , \n2.0,3\n", ["--column", "v", "--weights", "w"], False),
+    ("trailing-blank-lines", b"v\n1.0\n2.0\n\n\n", ["--column", "v"], False),
+    ("crlf", b"v,w\r\n1.0,2\r\n2.0,3\r\n", ["--column", "v", "--weights", "w"], True),
+    ("bom", b"\xef\xbb\xbfv\n1.0\n2.0\n", ["--column", "v"], True),
+    ("nul-in-an-unread-cell", b"v,note\n1.0,a\x00b\n2.0,c\n", ["--column", "v"], True),
+    ("nul-in-a-value", b"v\n1.0\n2\x00.0\n", ["--column", "v"], False),
+    ("nan", b"v\n1.0\nnan\n", ["--column", "v"], False),
+    ("inf", b"v\n1.0\n-inf\n2.0\n", ["--column", "v"], False),
+    *((f"weight-{cell.strip() or 'spaces'}", f"v,w\n1.0,2\n2.0,{cell}\n3.0,1\n".encode(),
+       ["--column", "v", "--weights", "w"], False)
+      for cell in ["1_0", "+5", " 5 ", "0", "1/3", "0.5"]),
+    ("short-row", b"v,w\n1.0,2\n3.0\n", ["--column", "v", "--weights", "w"], False),
+    ("quoted-cells", b'v,note\n"1.5","a,b"\n2.5,"c ""q"""\n', ["--column", "v"], True),
+    ("no-header", b"1.0\n2.0\n3.0\n", ["--no-header"], True),
+    ("weights-are-the-values", b"v\n3\n5\n3\n", ["--column", "v", "--weights", "v"], True),
+]
+
+
+class TestBlockReader:
+    """The block reader and the per-row loop give the same answers and errors."""
+
+    @pytest.mark.parametrize("data, args, takes_blocks", [c[1:] for c in READER_CASES],
+                             ids=[c[0] for c in READER_CASES])
+    def test_both_readers_print_the_same(self, runner, tmp_path, monkeypatch, data, args,
+                                         takes_blocks):
+        f = tmp_path / "data.csv"
+        f.write_bytes(data)
+        argv = ["quantile", str(f), *args, "--levels", "0,0.25,0.5,1"]
+        read_blocks = dualquant.cli._read_blocks
+        took = []
+
+        def spy(*a):
+            took.append(read_blocks(*a))
+            return took[-1]
+
+        monkeypatch.setattr(dualquant.cli, "_read_blocks", spy)
+        shipped = runner.invoke(main, argv)
+        monkeypatch.setattr(dualquant.cli, "_read_blocks", lambda *a: None)
+        per_row = runner.invoke(main, argv)
+        assert [read is not None for read in took] == [takes_blocks]
+        assert (shipped.stdout, shipped.stderr, shipped.exit_code) == (
+            per_row.stdout, per_row.stderr, per_row.exit_code)
+        assert isinstance(per_row.exception, SystemExit) or per_row.exception is None
+
+    def test_blocks_cover_a_column_longer_than_one(self, tmp_path):
+        f = tmp_path / "long.csv"
+        n = 3 * dualquant.cli._BLOCK_ROWS + 5
+        f.write_text("v,w\n" + "".join(f"{i}.5,{i % 9 + 1}\n" for i in range(n)))
+        values, weights, label = _load_column(str(f), "v", "w", ",", None)
+        assert values == [i + 0.5 for i in range(n)]
+        assert weights == [i % 9 + 1 for i in range(n)]
+        assert label == "v"
 
 
 class TestSymmetryCommand:

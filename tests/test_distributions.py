@@ -40,7 +40,7 @@ from dualquant import (
     random_mixture,
 )
 from dualquant import distributions
-from dualquant.distributions import MAX_EXPONENT, as_exact
+from dualquant.distributions import MAX_EXPONENT, _pool, as_exact
 from dualquant.transforms import Transport, check_transport
 
 F_CLOSED = DistFnFlavor.LEFT_CLOSED
@@ -254,6 +254,48 @@ class TestConstruction:
         values, weights = zip(*rows)
         assert atoms_of(make_empirical(values, weights)) == fraction_sum_atoms(values, weights)
         assert atoms_of(make_empirical(values)) == fraction_sum_atoms(values, None)
+
+    @staticmethod
+    def dict_pool(values):
+        # the unweighted pool by a dict, which keeps the first of equal keys
+        counts = {}
+        for v in values:
+            counts[v] = counts.get(v, 0) + 1
+        locs = sorted(counts)
+        return [(x, math.copysign(1.0, x)) for x in locs], [counts[x] for x in locs]
+
+    def check_unweighted_pool(self, values):
+        locs, nums, dens = _pool(values, None)
+        assert ([(x, math.copysign(1.0, x)) for x in locs], list(nums)) == self.dict_pool(values)
+        assert dens == (1,) * len(locs)
+
+    @settings(deadline=None, database=None, derandomize=True)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([-0.0, 0.0, 1.5, -2.0, 5e-324, -5e-324, 1e300]),
+                st.floats(allow_nan=False),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_unweighted_pool_matches_a_dict(self, values):
+        self.check_unweighted_pool(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[-0.0, 0.0], [0.0, -0.0], [1.0, -0.0, 2.0, 0.0, -0.0], [2.5], [3.0] * 5,
+         [float(k) for k in range(20, 0, -1)]],
+        ids=["minus-zero-first", "zero-first", "zeros-among-others", "one-row", "all-equal",
+             "all-distinct"],
+    )
+    def test_unweighted_pool_runs(self, values):
+        self.check_unweighted_pool(values)
+        locs, _, _ = _pool(values, None)
+        zero = next((v for v in values if v == 0), None)
+        if zero is not None:  # the first zero seen names the atom
+            assert math.copysign(1.0, locs[list(locs).index(0.0)]) == math.copysign(1.0, zero)
 
     def test_pooling_many_denominators_stays_fast(self):
         # weights 1/p over 3000 distinct primes: their common denominator

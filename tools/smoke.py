@@ -4,8 +4,8 @@
     python tools/smoke.py --rows 10000 -- python -m dualquant
 
 The command runs the rain examples, the verifier and a generated column of
---rows rows, whose answers must equal `tools/gen_csv.py --reference`, and a
-weight column of 12,000 coprime denominators, which it must refuse in little
+--rows rows, unweighted and weighted, whose answers must equal
+`tools/gen_csv.py --reference`, and a weight column of 12,000 coprime denominators, which it must refuse in little
 memory; library checks run in a child of this interpreter, and the verifier and
 `symmetry` must fail on source mutants of the package it imports.  Exits 1
 naming a failed check.
@@ -172,8 +172,8 @@ def main():
            ("first failure: [E]", True, False))
 
     # a generated column: the answers equal the generator's own reference
-    def generate(n, *reference):
-        return run([sys.executable, TOOLS / "gen_csv.py", "--rows", str(n), *reference])[0]
+    def generate(n, *flags):
+        return run([sys.executable, TOOLS / "gen_csv.py", "--rows", str(n), *flags])[0]
 
     def pairs(rows):
         return [(repr(r["left"]), repr(r["right"])) for r in rows]
@@ -184,6 +184,13 @@ def main():
     read = [big, "--column", "value", "--levels", ",".join(LEVELS)]
     out, _ = run([*cmd, "quantile", *read, "--format", "json"], label=f"quantile, {rows} rows")
     expect("quantile answers", pairs(json.loads(out)["rows"]), pairs(want))
+    weighted = tmp / "weighted.csv"
+    weighted.write_text(generate(rows, "--weights"))
+    wwant = json.loads(generate(rows, "--weights", "--reference", ",".join(LEVELS)))["rows"]
+    out, _ = run([*cmd, "quantile", weighted, "--column", "value", "--weights", "weight",
+                  "--levels", ",".join(LEVELS), "--format", "json"],
+                 label=f"quantile --weights, {rows} rows")
+    expect("weighted quantile answers", pairs(json.loads(out)["rows"]), pairs(wwant))
 
     # through x -> -3x + 0.5 the right quantile at p is the image of the left one at 1 - p;
     # through a continuous three-piece map, both flags left, it is the left one mapped
