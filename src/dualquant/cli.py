@@ -20,7 +20,7 @@ import re
 import sys
 import time
 from bisect import bisect_left
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -134,56 +134,24 @@ def _read_text(path: str, kind: str = "") -> str:
         _fail(EXIT_IO, f"cannot read {kind}{path}: {getattr(exc, 'strerror', None) or exc}")
 
 
-def _nonblank_rows(reader, path: str):
-    # the non-blank rows with their line numbers, read one at a time; a
-    # record ends on the line it starts on, so an unclosed quote fails
-    # there instead of joining the lines after it into one field
-    start = 1
+def _nonblank_rows(lines, delimiter: str, path: str, skipped: int = 0):
+    # the non-blank rows after the first ``skipped`` lines, with their line
+    # numbers, read one at a time; a record ends on the line it starts on, so
+    # an unclosed quote fails there instead of joining the lines after it
+    reader = csv.reader(islice(lines, skipped, None), delimiter=delimiter, strict=True)
+    start = skipped + 1
     try:
         for row in reader:
-            if reader.line_num != start:
+            if skipped + reader.line_num != start:
                 _fail(EXIT_PARSE, f"{path}: line {start}: quoted field is not closed on its line")
             if "".join(row).strip():
                 yield start, row
-            start = reader.line_num + 1
+            start = skipped + reader.line_num + 1
     except csv.Error as exc:
         _fail(EXIT_PARSE, f"{path}: line {start}: {exc}")
 
 
-_BLOCK_ROWS = 512  # rows held at a time; 4096 raised peak RSS by about 1 MiB and read no faster
-
-
-def _read_blocks(lines, start: int, stop: int, delimiter: str, ci: int, wi, width: int):
-    """Read the value column, and the weight column if ``wi`` is an index,
-    of ``lines[start:stop]`` a block of rows at a time; return
-    (values, weights-or-None), or None if some row needs the per-row loop.
-
-    That is a blank or short row, a record that ends past its line or
-    any csv.Error, a cell that float or int refuses, a value that is not
-    finite, or a weight cell that is not all ASCII digits or is zero.
-    """
-    reader = csv.reader(islice(lines, start, stop), delimiter=delimiter, strict=True)
-    values: list[float] = []
-    wvals: list[int] | None = None if wi is None else []
-    try:
-        while block := list(islice(reader, _BLOCK_ROWS)):
-            # a blank row's cells are all blank, which float refuses
-            if min(map(len, block)) < width:
-                return None
-            values += map(float, map(itemgetter(ci), block))
-            if wvals is not None:
-                cells = list(map(itemgetter(wi), block))
-                digits = "".join(cells)
-                if not (digits.isascii() and digits.isdigit()):
-                    return None
-                wvals += map(int, cells)  # an empty cell raises here
-    except (csv.Error, ValueError):
-        return None
-    if len(values) != stop - start or not all(map(math.isfinite, values)):
-        return None  # a record took more than one line, or a value is nan or inf
-    if wvals is not None and not min(wvals):
-        return None
-    return values, wvals
+_BLOCK_ROWS = 512  # rows per block until one needs the per-row loop; 4096 took 1 MiB more, no faster
 
 
 def _load_column(path: str, column: str, weights, delimiter: str, header):
@@ -194,9 +162,8 @@ def _load_column(path: str, column: str, weights, delimiter: str, header):
     # read_text has turned \r\n and \r into \n, the one line break left;
     # splitlines would also break at \f, \x1c, U+2028 and the like inside a cell
     lines = _read_text(path).split("\n")
-    reader = csv.reader(lines, delimiter=delimiter, strict=True)
     # the header row is stripped whole, a data row only in the cells read below
-    rows = _nonblank_rows(reader, path)
+    rows = _nonblank_rows(lines, delimiter, path)
     first = next(rows, None)
     if first is None:
         _fail(EXIT_PARSE, f"{path}: file has no rows")
@@ -229,14 +196,42 @@ def _load_column(path: str, column: str, weights, delimiter: str, header):
     col_label = header_row[ci] if header_row else f"column {ci}"
     w_label = (header_row[wi] if header_row else f"column {wi}") if wi is not None else None
 
-    # the data rows from the first on, less the "" after the last line break
-    read = _read_blocks(lines, first[0] - 1, len(lines) - (lines[-1] == ""), delimiter, ci, wi, width)
-    if read is not None:
-        return (*read, col_label)
-    # else row by row, the one source of this column's error messages
+    # blocks of rows from the first data line on (the rows of empty lines
+    # dropped), each taken whole, until one holds a row the per-row loop must
+    # read: short, past its line or a csv.Error, a value that is not a finite
+    # float, or a weight that is not a positive all-digit int
     values: list[float] = []
     wvals: list[int | Fraction] = []
-    for line_num, row in chain((first,), rows):
+    skipped = first[0] - 1  # the lines before the first data line
+    reader = csv.reader(islice(lines, skipped, None), delimiter=delimiter, strict=True)
+    taken = 0  # the lines read in the blocks taken
+    try:
+        while block := list(islice(reader, _BLOCK_ROWS)):
+            if reader.line_num - taken != len(block):
+                break
+            if min(map(len, block)) < width:
+                block = list(filter(None, block))  # the rows of empty lines
+                if min(map(len, block), default=width) < width:
+                    break
+            vs = list(map(float, map(itemgetter(ci), block)))
+            if not all(map(math.isfinite, vs)):
+                break
+            if wi is not None:
+                cells = list(map(itemgetter(wi), block))
+                digits = "".join(cells)
+                if digits and not (digits.isascii() and digits.isdigit()):
+                    break
+                ws = list(map(int, cells))  # an empty cell raises here
+                if 0 in ws:
+                    break
+                wvals += ws
+            values += vs
+            taken = reader.line_num
+    except (csv.Error, ValueError):
+        pass
+    # then row by row from the first line not taken, the one source of this
+    # column's error messages
+    for line_num, row in _nonblank_rows(lines, delimiter, path, skipped + taken):
         if len(row) < width:
             label = col_label if ci >= len(row) else w_label
             _fail(EXIT_PARSE, f"{path}: line {line_num} has {len(row)} fields, {label} is missing")

@@ -399,12 +399,12 @@ class MixtureDistribution:
         return f"MixtureDistribution(atoms={self.atoms!r}, segments={self.segments!r})"
 
 
-def _common_counts(nums: Sequence[int], dens: Sequence[int]) -> tuple[int, ...]:
-    """The masses ``nums[i]/dens[i]`` as integer counts over their least common denominator."""
-    if dens.count(1) == len(dens):  # unweighted or integer-weighted
-        return tuple(nums)
-    den = math.lcm(*dens)
-    return tuple(n * (den // k) for n, k in zip(nums, dens))
+def _common_counts(nums: Sequence[int], dens: Sequence[int], den: int = 0) -> tuple[int, ...]:
+    """The masses ``nums[i]/dens[i]`` as integer counts over ``den``, their
+    least common denominator, found here unless the caller has it."""
+    if not den:  # 1, without the lcm, when every weight is whole
+        den = 1 if dens.count(1) == len(dens) else math.lcm(*dens)
+    return tuple(nums) if den == 1 else tuple(n * (den // k) for n, k in zip(nums, dens))
 
 
 def _sums(counts: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -453,13 +453,14 @@ def make_empirical(
         values = [_finite_float(v, "data value") for v in values]
     # Non-finite floats are refused by the mixture, once per distinct value.
     locs, nums, dens = _pool(values, ws)
-    bits = 0 if dens.count(1) == len(dens) else math.lcm(*dens).bit_length()
+    den = 1 if dens.count(1) == len(dens) else math.lcm(*dens)
+    bits = 0 if den == 1 else den.bit_length()
     if len(locs) * bits > MAX_COUNT_BITS:
         raise BadWeightError(
             f"the weights' common denominator has {bits} bits, too many for "
             f"{len(locs)} distinct values (at most {MAX_COUNT_BITS} bits in all)"
         )
-    return MixtureDistribution._of_columns(locs, _common_counts(nums, dens))
+    return MixtureDistribution._of_columns(locs, _common_counts(nums, dens, den))
 
 
 def _pool(

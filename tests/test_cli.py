@@ -450,7 +450,34 @@ class TestExitCodes:
         assert res.stdout == want.stdout
 
 
-# (id, file bytes, the quantile options after the file, whether the block reader takes it)
+B = dualquant.cli._BLOCK_ROWS
+
+
+def spanning(header, row, edits):
+    """The bytes of a file three blocks and five rows long: ``header``, then
+    ``row(i)`` for data row i (on line i + 2), or ``edits[i]`` in its place."""
+    lines = [header, *(edits.get(i, row(i)) for i in range(3 * B + 5))]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def spy_on_rows(monkeypatch):
+    """Record the line numbers that each call of ``_nonblank_rows`` yields: the
+    header's reader first, then each per-row loop."""
+    calls = []
+    nonblank_rows = dualquant.cli._nonblank_rows
+
+    def spy(*args):
+        calls.append(yielded := [])
+        for line_num, row in nonblank_rows(*args):
+            yielded.append(line_num)
+            yield line_num, row
+
+    monkeypatch.setattr(dualquant.cli, "_nonblank_rows", spy)
+    return calls
+
+
+# (id, file bytes, the quantile options after the file, whether the blocks
+# take every data row, so that the per-row loop yields none)
 READER_CASES = [
     ("plain", b"v\n3.0\n1.0\n2.0\n1.0\n", ["--column", "v"], True),
     ("int-weights", b"v,w\n1.0,3\n2.0,5\n1.0,07\n", ["--column", "v", "--weights", "w"], True),
@@ -462,9 +489,9 @@ READER_CASES = [
     # str.strip drops \x1c, float does not
     ("x1c-after-a-value", b"v,note\n1.0,x\n2.0\x1c,y\n", ["--column", "v"], False),
     ("form-feed-in-a-cell", b"v,note\n1.0,x\x0c5.0\n\x0c2.0,y\n", ["--column", "v"], True),
-    ("blank-row", b"v\n1.0\n\n2.0\n", ["--column", "v"], False),
+    ("blank-row", b"v\n1.0\n\n2.0\n", ["--column", "v"], True),
     ("whitespace-row", b"v,w\n1.0,2\n  , \n2.0,3\n", ["--column", "v", "--weights", "w"], False),
-    ("trailing-blank-lines", b"v\n1.0\n2.0\n\n\n", ["--column", "v"], False),
+    ("trailing-blank-lines", b"v\n1.0\n2.0\n\n\n", ["--column", "v"], True),
     ("crlf", b"v,w\r\n1.0,2\r\n2.0,3\r\n", ["--column", "v", "--weights", "w"], True),
     ("bom", b"\xef\xbb\xbfv\n1.0\n2.0\n", ["--column", "v"], True),
     ("nul-in-an-unread-cell", b"v,note\n1.0,a\x00b\n2.0,c\n", ["--column", "v"], True),
@@ -478,11 +505,20 @@ READER_CASES = [
     ("quoted-cells", b'v,note\n"1.5","a,b"\n2.5,"c ""q"""\n', ["--column", "v"], True),
     ("no-header", b"1.0\n2.0\n3.0\n", ["--no-header"], True),
     ("weights-are-the-values", b"v\n3\n5\n3\n", ["--column", "v", "--weights", "v"], True),
+    ("bad-value-in-block-3", spanning("v", "{}.5".format, {2 * B + 7: "x"}), ["--column", "v"],
+     False),
+    ("quote-across-blocks", spanning("v,note", "{}.5,n".format, {B - 1: '1.5,"y', B: 'z"'}),
+     ["--column", "v"], False),
+    ("decimal-weight-in-block-2",
+     spanning("v,w", lambda i: f"{i}.5,{i % 9 + 1}", {B + 3: "7.5,0.5"}),
+     ["--column", "v", "--weights", "w"], False),
+    ("blank-line-mid-block", spanning("v", "{}.5".format, {B + B // 2: ""}), ["--column", "v"],
+     True),
 ]
 
 
 class TestBlockReader:
-    """The block reader and the per-row loop give the same answers and errors."""
+    """The blocks and the per-row loop give the same answers and errors."""
 
     @pytest.mark.parametrize("data, args, takes_blocks", [c[1:] for c in READER_CASES],
                              ids=[c[0] for c in READER_CASES])
@@ -491,21 +527,36 @@ class TestBlockReader:
         f = tmp_path / "data.csv"
         f.write_bytes(data)
         argv = ["quantile", str(f), *args, "--levels", "0,0.25,0.5,1"]
-        read_blocks = dualquant.cli._read_blocks
-        took = []
-
-        def spy(*a):
-            took.append(read_blocks(*a))
-            return took[-1]
-
-        monkeypatch.setattr(dualquant.cli, "_read_blocks", spy)
+        calls = spy_on_rows(monkeypatch)
         shipped = runner.invoke(main, argv)
-        monkeypatch.setattr(dualquant.cli, "_read_blocks", lambda *a: None)
+        monkeypatch.setattr(dualquant.cli, "_BLOCK_ROWS", 0)  # no block is taken
         per_row = runner.invoke(main, argv)
-        assert [read is not None for read in took] == [takes_blocks]
+        assert (calls[1] == []) == takes_blocks
         assert (shipped.stdout, shipped.stderr, shipped.exit_code) == (
             per_row.stdout, per_row.stderr, per_row.exit_code)
         assert isinstance(per_row.exception, SystemExit) or per_row.exception is None
+
+    @pytest.mark.parametrize("case, message", [
+        ("bad-value-in-block-3", f"line {2 * B + 9}, v: cannot parse 'x' as a number"),
+        ("quote-across-blocks", f"line {B + 1}: quoted field is not closed on its line"),
+    ])
+    def test_an_error_past_the_first_block_names_its_line(self, runner, tmp_path, case, message):
+        f = tmp_path / "data.csv"
+        f.write_bytes({c[0]: c[1] for c in READER_CASES}[case])
+        res = runner.invoke(main, ["quantile", str(f), "--column", "v", "--levels", "0.5"])
+        assert res.exit_code == 3
+        assert res.stderr == f"error: {f}: {message}\n"
+
+    def test_the_per_row_loop_reads_on_from_the_block_refused(self, tmp_path, monkeypatch):
+        f = tmp_path / "data.csv"
+        n = 3 * B + 5
+        f.write_bytes(spanning("v,w", lambda i: f"{i}.5,{i % 9 + 1}", {3 * B + 2: "7.5,0.5"}))
+        calls = spy_on_rows(monkeypatch)
+        values, weights, _ = _load_column(str(f), "v", "w", ",", None)
+        # the last block's first data row is on line 3 * B + 2
+        assert calls[1] == list(range(3 * B + 2, n + 2))
+        assert values == [7.5 if i == 3 * B + 2 else i + 0.5 for i in range(n)]
+        assert weights == [Fraction(1, 2) if i == 3 * B + 2 else i % 9 + 1 for i in range(n)]
 
     def test_blocks_cover_a_column_longer_than_one(self, tmp_path):
         f = tmp_path / "long.csv"
@@ -663,7 +714,9 @@ class TestEntryPoints:
 
     def test_the_smoke_script_that_ci_runs_passes(self):
         smoke = [sys.executable, str(GEN_CSV.with_name("smoke.py")), "--rows", "10000", "--"]
-        env = {**os.environ, "PYTHONPATH": str(Path(dualquant.cli.__file__).parents[1])}
+        src = str(Path(dualquant.cli.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         res = subprocess.run([*smoke, sys.executable, "-m", "dualquant"],
                              capture_output=True, text=True, env=env)
         assert res.returncode == 0, res.stdout[-2000:] + res.stderr

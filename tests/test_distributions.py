@@ -335,6 +335,21 @@ class TestConstruction:
         with pytest.raises(BadWeightError, match=message):
             make_empirical(values, weights)
 
+    def test_the_common_denominator_is_found_once(self, monkeypatch):
+        # the column of denominators goes through one lcm, for the budget and the counts
+        columns = []
+        lcm = math.lcm
+
+        def spy(*args):
+            if len(args) == 3:
+                columns.append(args)
+            return lcm(*args)
+
+        monkeypatch.setattr(math, "lcm", spy)
+        d = make_empirical([1.0, 2.0, 3.0], [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)])
+        assert columns == [(2, 3, 5)]
+        assert [a.mass for a in d.atoms] == [Fraction(15, 31), Fraction(10, 31), Fraction(6, 31)]
+
     @pytest.mark.parametrize("weights", [None, [1, 2], ["3", Fraction(4, 2)]])
     def test_whole_weights_take_no_count_budget(self, monkeypatch, weights):
         monkeypatch.setattr(distributions, "MAX_COUNT_BITS", 0)

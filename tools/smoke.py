@@ -146,11 +146,12 @@ def main():
     run([*cmd, "verify", "--n", "3"])
 
     # the battery spread over every CPU writes the report of a serial run, and
-    # fails on the mutant; the package copy alone is on the mutant's path
+    # fails on the mutant; the package copy heads the inherited path
     print(f"usable CPUs: {len(os.sched_getaffinity(0))}")
 
     def on(copy):
-        return ["env", f"PYTHONPATH={copy}", sys.executable, "-m", "dualquant"]
+        path = os.pathsep.join(filter(None, (str(copy), os.environ.get("PYTHONPATH"))))
+        return ["env", f"PYTHONPATH={path}", sys.executable, "-m", "dualquant"]
 
     mutated = on(mutant(Path(init).parent, tmp, NEXT_LANDMARK))
     for what, command, code in ("plain", cmd, 0), (NEXT_LANDMARK[0], mutated, 1):
