@@ -347,8 +347,8 @@ class MixtureDistribution:
         location column and the CDF the running sum of the counts.  A gap
         that is a whole segment adds the segment's count; only a segment
         cut by an atom gives its gaps `Fraction` shares by length, and
-        then every mass is scaled to the common denominator of those
-        shares.
+        then `_common_counts` scales every mass to the common denominator
+        of those shares.
         """
         counts = self._counts
         if not self._los:
@@ -370,8 +370,8 @@ class MixtureDistribution:
                 masses.append(c)
             else:
                 masses.append(0)
-        scale = math.lcm(*(m.denominator for m in masses))
-        cum = tuple(accumulate(m.numerator * (scale // m.denominator) for m in masses))
+        nums, dens = [m.numerator for m in masses], [m.denominator for m in masses]
+        cum = tuple(accumulate(_common_counts(nums, dens)))
         return _Profile(xs, cum[-1], cum[0::2], cum[1::2], {})
 
     def __setattr__(self, name, value):

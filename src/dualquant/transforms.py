@@ -102,9 +102,12 @@ class MapPiece:
         object.__setattr__(self, "_exact", (Fraction(slope), Fraction(intercept)))
 
     def value(self, x) -> ExtendedReal:
-        # exact rationals (segment-interior quantiles) stay exact; float
-        # inputs keep float arithmetic so atom images match pushforward
-        # locations bit for bit
+        # the one formula, at +/-inf too: a flat piece is its intercept as
+        # stored, signed zero included; exact rationals stay exact; floats keep
+        # float arithmetic, so atom images match pushforward locations bit for
+        # bit, and +/-inf gets the limit (2.0*inf + 1.0 == inf)
+        if self.slope == 0:
+            return self.intercept
         if isinstance(x, Fraction):
             slope, intercept = self._exact
             return as_extended(slope * x + intercept)
@@ -214,13 +217,7 @@ def neglog10_map() -> SmoothMonotoneMap:
 
 
 def _apply_smooth(m: SmoothMonotoneMap, x: ExtendedReal) -> ExtendedReal:
-    if isinstance(x, float) and math.isinf(x):
-        if m.kind is SmoothKind.POW10_NEG:
-            return 0.0 if x > 0 else POS_INF
-        # NEGLOG10
-        if x > 0:
-            return NEG_INF
-        raise MapDomainError("neglog10 is defined on (0, +inf) only")
+    # the limits at +/-inf: 10.0 ** -inf == 0.0, 10.0 ** inf == inf, -log10(inf) == -inf
     xf = float(x)
     if m.kind is SmoothKind.POW10_NEG:
         try:
@@ -252,14 +249,8 @@ def _apply_to_quantile(m: MonotoneMap, d: MixtureDistribution, x: ExtendedReal) 
 
 
 def _apply_piecewise(m: PiecewiseMonotoneMap, x: ExtendedReal) -> ExtendedReal:
-    if isinstance(x, float) and math.isinf(x):
-        piece = m.pieces[-1] if x > 0 else m.pieces[0]
-        if piece.slope == 0:
-            return piece.intercept  # constant tail: the limit is its value
-        rising_here = (piece.slope > 0) == (x > 0)
-        return POS_INF if rising_here else NEG_INF
     bs = m.breakpoints
-    i = bisect_left(bs, x)  # x lies in piece i, or at its upper end bs[i]
+    i = bisect_left(bs, x)  # x lies in piece i, or at its upper end bs[i] (+/-inf: an end piece)
     if i < len(bs) and bs[i] == x and m.continuity[i] is Continuity.RIGHT:
         i += 1
     return m.pieces[i].value(x)
@@ -316,10 +307,7 @@ def pushforward(d: MixtureDistribution, m: MonotoneMap) -> MixtureDistribution:
             density = count / (Fraction(hi) - Fraction(lo)) if len(cuts) > 2 else None
             for u, v, piece in zip(cuts, cuts[1:], m.pieces[i:]):
                 part = count if density is None else density * (Fraction(v) - Fraction(u))
-                if piece.slope == 0:  # the intercept exactly, signed zero included
-                    a = b = piece.intercept
-                else:
-                    a, b = sorted((piece.value(u), piece.value(v)))
+                a, b = sorted((piece.value(u), piece.value(v)))
                 if a == b:
                     ys.append(a)
                     ws.append(part)

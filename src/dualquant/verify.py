@@ -284,11 +284,6 @@ def _scan(grid: _LevelGrid, variant: QuantileVariant) -> ExtendedReal:
 # property batteries
 
 
-def _interval_mass(d, lo, hi) -> Fraction:
-    # P(lo < X < hi); infinite endpoints fall out of the flavor limits
-    return dist_fn(d, DistFnFlavor.LEFT_OPEN, hi) - dist_fn(d, DistFnFlavor.LEFT_CLOSED, lo)
-
-
 class _LevelFree(NamedTuple):
     """The parts of checks a-k that no level changes, for one mixture:
     checks h and j whole, the left and right quantiles at the levels k/10
@@ -369,7 +364,7 @@ def _property_results(
         )
     )
 
-    between = _interval_mass(d, lq, rq) if lq < rq else Fraction(0)
+    between = fo_rq - fc_lq if lq < rq else Fraction(0)  # P(lq < X < rq) = P(X < rq) - F(lq)
     out.append(CheckResult("e", between == 0, f"P(lq < X < rq)={format_extended(between)}"))
 
     out.append(

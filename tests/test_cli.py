@@ -670,6 +670,22 @@ class TestTransformCommand:
         assert res.exit_code == 0, res.stderr
         assert rows_of(res.stdout)[1][3] == "yes"
 
+    @pytest.mark.parametrize("direction, pieces", [
+        ("non_decreasing", [("-inf", 1.0, 0.0, -0.0), (1.0, "inf", 1.0, -1.0)]),
+        ("non_increasing", [("-inf", -1.0, -1.0, -1.0), (-1.0, "inf", -0.0, -0.0)]),
+    ])
+    def test_a_flat_piece_keeps_the_sign_of_its_zero(self, runner, tmp_path, direction, pieces):
+        # both levels route a point of the flat piece, one below 0 and one above
+        data = tmp_path / "data.csv"
+        data.write_text("v\n-0.6\n-0.2\n0.2\n0.4\n0.6\n")
+        spec = {"direction": direction,
+                "breakpoints": [{"at": pieces[0][1], "continuity": "left"}],
+                "pieces": [dict(zip(("lo", "hi", "slope", "intercept"), p)) for p in pieces]}
+        res = runner.invoke(main, ["transform", str(data), "--column", "v", "--levels", "0.3,0.7",
+                                   "--map", json.dumps(spec)])
+        assert res.exit_code == 0, res.stderr
+        assert rows_of(res.stdout)[1:] == [[p, "-0.0", "-0.0", "yes"] for p in ("0.3", "0.7")]
+
 
 class TestVerifyCommand:
     def test_smoke_run_passes(self, runner):

@@ -105,7 +105,7 @@ class TestApplySmooth:
 
     @pytest.mark.parametrize("x", [0.0, -1.0, NEG_INF])
     def test_neglog10_domain(self, x):
-        with pytest.raises(MapDomainError):
+        with pytest.raises(MapDomainError, match=f"^neglog10 is undefined at {x!r}$"):
             apply_map(neglog10_map(), x)
 
     def test_directions(self):
@@ -712,3 +712,37 @@ class TestPieceOwnershipOnRandomMaps:
                     assert verdict is not Transport.UNEQUAL, (map_to_spec(m), i, p, side, direct, routed)
                     verdicts[verdict] += 1
         assert verdicts[Transport.EQUAL] and verdicts[Transport.NOT_CLAIMED] and refused
+
+
+# a flat piece with intercept -0.0: slope 0.0 on (-inf, 1] of a non-decreasing
+# map, and slope -0.0 on [-1, +inf) of a non-increasing one; neither map jumps
+FLAT_NEG_ZERO = {
+    "nd": PiecewiseMonotoneMap(
+        (MapPiece(-INF, 1.0, 0.0, -0.0), MapPiece(1.0, INF, 1.0, -1.0)), ND, (CL,)
+    ),
+    "ni": PiecewiseMonotoneMap(
+        (MapPiece(-INF, -1.0, -1.0, -1.0), MapPiece(-1.0, INF, -0.0, -0.0)), NI, (CR,)
+    ),
+}
+
+
+class TestFlatPieceIsItsIntercept:
+    """A flat piece maps every point to its intercept as stored, so -0.0
+    stays -0.0 wherever the arithmetic slope*x + intercept would give 0.0."""
+
+    @pytest.mark.parametrize("name, tail", [("nd", NEG_INF), ("ni", POS_INF)])
+    def test_apply_map_on_both_sides_of_zero_at_a_fraction_and_on_the_tail(self, name, tail):
+        for x in (-0.5, -0.0, 0.0, 0.5, Fraction(1, 3), Fraction(-1, 3), tail):
+            assert same_value(apply_map(FLAT_NEG_ZERO[name], x), -0.0), x
+
+    @pytest.mark.parametrize("name, cut", [("nd", (0.5, 1.5)), ("ni", (-1.5, -0.5))])
+    def test_pushforward_of_an_atom_and_of_a_segment_part(self, name, cut):
+        m = FLAT_NEG_ZERO[name]
+        for x in (-0.5, 0.5):
+            (y,) = pushforward(MixtureDistribution([Atom(x, Fraction(1))]), m)._locs
+            assert same_value(y, -0.0), x
+        # half the segment lies on the flat piece, half on its affine neighbour
+        out = pushforward(MixtureDistribution(segments=[UniformSegment(*cut, Fraction(1))]), m)
+        assert len(out.atoms) == 1 and same_value(out.atoms[0].location, -0.0)
+        assert out.atoms[0].mass == Fraction(1, 2)
+        assert out.segments == (UniformSegment(0.0, 0.5, Fraction(1, 2)),)
