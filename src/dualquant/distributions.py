@@ -117,11 +117,12 @@ def as_extended(x: Union[float, Fraction]) -> ExtendedReal:
         den = x.denominator
         if den & (den - 1):
             return x  # only a dyadic rational can be a float
+        n = x.numerator
         try:
-            f = float(x)
+            f = n / den  # correctly rounded
         except OverflowError:
             return x
-        if Fraction(f) == x:
+        if f.as_integer_ratio() == (n, den):
             return f
         return x
     return x
@@ -197,20 +198,22 @@ class _Tables(NamedTuple):
     """What `dist_fn` reads of one distribution, built once.
 
     ``locs``, ``los`` and ``his`` hold the sorted atom locations and
-    segment ends as Fractions, so an argument converted once bisects them
-    exactly.  Segment interiors are disjoint, so segments sorted by
-    ``lo`` have sorted ``his`` too.  Every mass is a count of the
-    mixture's count column, never normalized; `dist_fn` divides by the
-    mixture's count total.  Entry k of a ``*_below`` table is the count
-    of the first k parts, entry k of an ``*_above`` table that of the
-    parts from k on, summed on its own rather than derived from the
-    other; left and right flavors read separate tables.
+    segment ends times ``scale`` (see `_dyadic_ints`), so an argument a/b
+    bisects them as the ints floor(a*scale/b) and ceil(a*scale/b).
+    Segment interiors are disjoint, so segments sorted by ``lo`` have
+    sorted ``his`` too.  Every mass is a count of the mixture's count
+    column, never normalized; `dist_fn` divides by the count total.
+    Entry k of a ``*_below`` table is the count of the first k parts,
+    entry k of an ``*_above`` table that of the parts from k on, summed
+    on its own rather than derived from the other; left and right
+    flavors read separate tables.
     """
 
-    locs: tuple[Fraction, ...]
-    los: tuple[Fraction, ...]
-    his: tuple[Fraction, ...]
-    density: tuple[Fraction, ...]  # count per unit length of each segment
+    scale: int
+    locs: tuple[int, ...]
+    los: tuple[int, ...]
+    his: tuple[int, ...]
+    counts: tuple[int, ...]  # each segment's count
     atoms_below: list[int]
     atoms_above: list[int]
     segments_below: list[int]
@@ -226,15 +229,16 @@ class _Profile(NamedTuple):
     ``den``: ``cdf[i]`` is P(X <= xs[i]) and ``below_next[i]`` is
     P(X < xs[i+1]), i.e. ``cdf[i]`` plus the mass of the gap after
     ``xs[i]`` (the last entry is ``den``).  ``gaps`` keeps, for each gap
-    a query has landed in, ``(a, b)`` with F(a + b*p) = p there: the
-    exact inverse of the affine F on that gap, built on first use.
+    a query has landed in, three ints ``(c0, c1, c2)`` such that F reaches
+    p = pn/pd at x = (c0*pd + c1*pn) / (c2*pd) there: the exact inverse of
+    the affine F on that gap, built on first use.
     """
 
     xs: tuple[float, ...]
     den: int
     cdf: tuple[int, ...]
     below_next: tuple[int, ...]
-    gaps: dict[int, tuple[Fraction, Fraction]]
+    gaps: dict[int, tuple[int, int, int]]
 
 
 class MixtureDistribution:
@@ -326,16 +330,11 @@ class MixtureDistribution:
 
     @cached_property
     def _tables(self) -> _Tables:
-        n, counts = len(self._locs), self._counts
-        los = tuple(map(Fraction, self._los))
-        his = tuple(map(Fraction, self._his))
+        n, m, counts = len(self._locs), len(self._los), self._counts
+        scale, ints = _dyadic_ints(chain(self._locs, self._los, self._his))
         return _Tables(
-            tuple(map(Fraction, self._locs)),
-            los,
-            his,
-            tuple(c / (hi - lo) for c, lo, hi in zip(counts[n:], los, his)),
-            *_sums(counts[:n]),
-            *_sums(counts[n:]),
+            scale, ints[:n], ints[n : n + m], ints[n + m :], counts[n:],
+            *_sums(counts[:n]), *_sums(counts[n:]),
         )
 
     @cached_property
@@ -405,6 +404,14 @@ def _common_counts(nums: Sequence[int], dens: Sequence[int], den: int = 0) -> tu
     if not den:  # 1, without the lcm, when every weight is whole
         den = 1 if dens.count(1) == len(dens) else math.lcm(*dens)
     return tuple(nums) if den == 1 else tuple(n * (den // k) for n, k in zip(nums, dens))
+
+
+def _dyadic_ints(xs: Iterable[float]) -> tuple[int, tuple[int, ...]]:
+    """``(scale, ints)``: every float is a dyadic rational, and ``scale`` is
+    the least power of two that makes each of ``xs`` times it an int."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    scale = max(den for _, den in ratios)
+    return scale, tuple(num * (scale // den) for num, den in ratios)
 
 
 def _sums(counts: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -514,39 +521,50 @@ def dist_fn(d: MixtureDistribution, flavor: DistFnFlavor, x: ExtendedReal) -> Pr
 
     ``x`` may be an int, float, Fraction, or +/-infinity; infinite
     arguments return the monotone limit (0 or 1 depending on flavor),
-    and NaN raises BadValueError.  Each call is two bisections of
-    integer counts plus at most one partial segment, then one exact
-    division by the count total.
+    and NaN raises BadValueError.  ``x`` is read once as a ratio a/b of
+    ints; two bisections of the integer tables and at most one partial
+    segment follow in ints, and one `Fraction` over the count total ends it.
     """
     if not isinstance(flavor, DistFnFlavor):
         raise TypeError(f"flavor must be a DistFnFlavor, got {flavor!r}")
     left = flavor in _LEFT_FLAVORS
-    if isinstance(x, float) and not math.isfinite(x):
-        if math.isnan(x):  # every comparison with it is false: bisection would misread it
-            raise BadValueError("a distribution function has no value at nan")
-        high = x > 0
-        return Fraction(1) if high == left else Fraction(0)
-    if not isinstance(x, Fraction):
-        x = Fraction.from_float(x)  # an int or a float; unlike Fraction(x), refuses a str
+    if isinstance(x, Fraction):
+        a, b = x.numerator, x.denominator
+    elif isinstance(x, (int, float)):
+        if isinstance(x, float) and not math.isfinite(x):
+            if math.isnan(x):  # every comparison with it is false: bisection would misread it
+                raise BadValueError("a distribution function has no value at nan")
+            return Fraction(1) if (x > 0) == left else Fraction(0)
+        a, b = x.as_integer_ratio()
+    else:
+        a, b = Fraction.from_float(x).as_integer_ratio()  # another Integral; refuses a str
     t = d._tables
+    # x*scale = ax/b: a scaled landmark is <= x iff it is <= fl, < x iff < ce
+    ax = a * t.scale
+    fl, rem = divmod(ax, b)
+    ce = fl + 1 if rem else fl
     if flavor is DistFnFlavor.LEFT_CLOSED:
-        acc = t.atoms_below[bisect_right(t.locs, x)]
+        acc = t.atoms_below[bisect_right(t.locs, fl)]
     elif flavor is DistFnFlavor.LEFT_OPEN:
-        acc = t.atoms_below[bisect_left(t.locs, x)]
+        acc = t.atoms_below[bisect_left(t.locs, ce)]
     elif flavor is DistFnFlavor.RIGHT_CLOSED:
-        acc = t.atoms_above[bisect_left(t.locs, x)]
+        acc = t.atoms_above[bisect_left(t.locs, ce)]
     else:
-        acc = t.atoms_above[bisect_right(t.locs, x)]
+        acc = t.atoms_above[bisect_right(t.locs, fl)]
+    # a segment [lo, hi] straddling x adds count*(x - lo)/(hi - lo) on the
+    # left, count*(hi - x)/(hi - lo) on the right: over b*(hi - lo) in ints
     if left:
-        i = bisect_right(t.his, x)  # the segments before i end at or below x
+        i = bisect_right(t.his, fl)  # the segments before i end at or below x
         acc += t.segments_below[i]
-        if i < len(t.los) and t.los[i] < x:  # segment i straddles x
-            acc += t.density[i] * (x - t.los[i])
+        if i < len(t.los) and t.los[i] < ce:  # segment i straddles x
+            w = t.his[i] - t.los[i]
+            return Fraction(acc * b * w + t.counts[i] * (ax - t.los[i] * b), d._total * b * w)
     else:
-        i = bisect_left(t.los, x)  # the segments from i on start at or above x
+        i = bisect_left(t.los, ce)  # the segments from i on start at or above x
         acc += t.segments_above[i]
-        if i and x < t.his[i - 1]:  # segment i - 1 straddles x
-            acc += t.density[i - 1] * (t.his[i - 1] - x)
+        if i and fl < t.his[i - 1]:  # segment i - 1 straddles x
+            w = t.his[i - 1] - t.los[i - 1]
+            return Fraction(acc * b * w + t.counts[i - 1] * (t.his[i - 1] * b - ax), d._total * b * w)
     return Fraction(acc, d._total)
 
 

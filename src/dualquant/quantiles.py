@@ -6,7 +6,8 @@ and the right quantile is inf{x : P(X<=x) > p}.  Both are found by
 bisecting the mixture's exact CDF profile, which the mixture builds
 from its integer counts on first read and keeps, then inverting at most
 one affine gap, so results on atoms are the atom coordinates themselves
-and results inside segments are exact rationals.  Each level costs O(log n).
+and results inside segments are exact rationals, each one `Fraction`
+built from ints.  Each level costs O(log n).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .distributions import (
     MixtureDistribution,
     Probability,
     _Profile,
+    _dyadic_ints,
     as_extended,
     as_level,
 )
@@ -64,12 +66,14 @@ class QuantilePair:
 def _invert(prof: _Profile, i: int, p: Probability) -> ExtendedReal:
     # the point of the gap after xs[i] where the affine F reaches p
     try:
-        a, b = prof.gaps[i]
+        c0, c1, c2 = prof.gaps[i]
     except KeyError:
-        lo = Fraction(prof.xs[i])
-        width, mass = Fraction(prof.xs[i + 1]) - lo, prof.below_next[i] - prof.cdf[i]
-        a, b = prof.gaps[i] = lo - prof.cdf[i] * width / mass, width * prof.den / mass
-    return as_extended(a + b * p)
+        # x = (lo + (hi - lo)*(p*den - cdf)/mass)/g, with the gap's ends lo/g and hi/g
+        g, (lo, hi) = _dyadic_ints(prof.xs[i : i + 2])
+        cdf, mass = prof.cdf[i], prof.below_next[i] - prof.cdf[i]
+        c0, c1, c2 = prof.gaps[i] = lo * mass - (hi - lo) * cdf, (hi - lo) * prof.den, g * mass
+    pn, pd = p.numerator, p.denominator
+    return as_extended(Fraction(c0 * pd + c1 * pn, c2 * pd))
 
 
 def _lq(prof: _Profile, p: Probability) -> ExtendedReal:

@@ -26,6 +26,7 @@ from .distributions import (
     MixtureDistribution,
     UniformSegment,
     _common_counts,
+    _dyadic_ints,
     _pool,
     as_extended,
     as_level,
@@ -79,8 +80,8 @@ class MapPiece:
     """One affine piece y = slope*x + intercept on [lo, hi].
 
     ``lo`` may be -inf and ``hi`` +inf; slope and intercept are finite.
-    The exact rationals of slope and intercept are kept beside the
-    fields, for `value` at a Fraction.
+    The exact slope and intercept are kept beside the fields, as ints s
+    and i over one power of two g, for `value` at a Fraction.
     """
 
     lo: float
@@ -99,7 +100,8 @@ class MapPiece:
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "slope", slope)
         object.__setattr__(self, "intercept", intercept)
-        object.__setattr__(self, "_exact", (Fraction(slope), Fraction(intercept)))
+        g, (s, i) = _dyadic_ints((slope, intercept))
+        object.__setattr__(self, "_exact", (s, i, g))
 
     def value(self, x) -> ExtendedReal:
         # the one formula, at +/-inf too: a flat piece is its intercept as
@@ -109,8 +111,9 @@ class MapPiece:
         if self.slope == 0:
             return self.intercept
         if isinstance(x, Fraction):
-            slope, intercept = self._exact
-            return as_extended(slope * x + intercept)
+            s, i, g = self._exact
+            a, b = x.numerator, x.denominator
+            return as_extended(Fraction(s * a + i * b, g * b))
         return self.slope * x + self.intercept
 
 
@@ -239,9 +242,9 @@ def _apply_to_quantile(m: MonotoneMap, d: MixtureDistribution, x: ExtendedReal) 
     data with a point at or below 0.
     """
     if (
-        x == NEG_INF
-        and isinstance(m, SmoothMonotoneMap)
+        isinstance(m, SmoothMonotoneMap)
         and m.kind is SmoothKind.NEGLOG10
+        and x == NEG_INF
         and essential_bounds(d)[0] > 0
     ):
         return POS_INF
@@ -374,10 +377,11 @@ def check_transport(
     The identity quantifies over reals, so it is not claimed at level 0
     on the left or level 1 on the right when ``routed`` is finite: a map
     bounded below routes lq(0) to its finite range edge, while lq(0) of
-    the image is -inf by convention.  Otherwise the two must be
-    bit-equal, except that an answer inside a pushforward segment (not
-    at one of its atoms) may differ from ``routed`` by float rounding,
-    within a fixed absolute allowance.
+    the image is -inf by convention.  Otherwise the two must be equal
+    under ``==``, so ``-0.0`` matches ``0.0``, as the pushforward names a
+    pooled atom by the first image on it.  An answer inside a pushforward
+    segment (not at one of its atoms) may also differ from ``routed`` by
+    float rounding, within a fixed absolute allowance.
     """
     p = as_level(p)
     direct = quantile_at(push, p, side)

@@ -17,6 +17,7 @@ import operator
 import os
 import random
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -292,14 +293,16 @@ class _LevelFree(NamedTuple):
 
     h: CheckResult
     j: CheckResult
-    grid: dict[Probability, tuple[ExtendedReal, ExtendedReal]]
+    grid: tuple[tuple[ExtendedReal, ExtendedReal], ...]  # at _TENTHS
     offsets: tuple[Fraction, ...]
 
 
+_TENTHS = tuple(Fraction(k, 10) for k in range(11))
+
+
 def _level_free_checks(d: MixtureDistribution) -> _LevelFree:
-    tenths = (Fraction(k, 10) for k in range(11))
-    grid = {q: (left_quantile(d, q), right_quantile(d, q)) for q in tenths}
-    lq1, rq0 = grid[1][0], grid[0][1]
+    grid = tuple((left_quantile(d, q), right_quantile(d, q)) for q in _TENTHS)
+    lq1, rq0 = grid[-1][0], grid[0][1]
     finite = not (isinstance(lq1, float) and math.isinf(lq1)) and not (
         isinstance(rq0, float) and math.isinf(rq0)
     )
@@ -346,7 +349,8 @@ def _property_results(
     if p == 1:
         out.append(CheckResult("c", True, "vacuous: no level above 1"))
     else:
-        higher = sorted({p + (1 - p) * Fraction(k, 4) for k in (1, 2, 3, 4)} | {p + (1 - p) / 97})
+        q = 1 - p  # q > 0, so the five levels strictly increase
+        higher = [p + q / 97, p + q / 4, p + q / 2, p + 3 * q / 4, p + q]
         bad = [p2 for p2 in higher if not rq <= left_quantile(d, p2)]
         out.append(
             CheckResult(
@@ -390,8 +394,10 @@ def _property_results(
 
     out.append(fixed.h)
 
-    rows = {**fixed.grid, p: (lq, rq)}
-    lqs, rqs = zip(*(rows[q] for q in sorted(rows)))
+    rows = list(fixed.grid)
+    k = bisect_left(_TENTHS, p)  # k <= 10, as p <= 1; p takes the place of an equal tenth
+    rows[k : k + (_TENTHS[k] == p)] = [(lq, rq)]
+    lqs, rqs = zip(*rows)
     mono = all(a <= b for a, b in zip(lqs, lqs[1:])) and all(
         a <= b for a, b in zip(rqs, rqs[1:])
     )

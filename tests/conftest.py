@@ -1,5 +1,6 @@
 """Shared fixtures: the bundled rain-acidity sample and its empirical mixtures,
-and faults swapped into the verification battery."""
+the location ranges of every float scale, and faults swapped into the
+verification battery."""
 
 import csv
 import math
@@ -30,6 +31,23 @@ def ph_dist(rain_columns):
 @pytest.fixture(scope="session")
 def ah_dist(rain_columns):
     return make_empirical(rain_columns[1])
+
+
+@pytest.fixture(
+    params=[
+        (-4.0, 4.0),
+        (999990.3, 1000010.7),
+        (1e15, 1e15 + 4096.3),
+        (-1e300, 1e300),
+        (1e-310, 3e-310),
+        (-3e-310, -1e-310),
+    ],
+    ids=lambda r: f"{r[0]!r},{r[1]!r}",
+)
+def location_range(request):
+    """Today's corpus range, ranges near 1e6 and 1e15, most of the float
+    range, and positive and negative subnormals."""
+    return request.param
 
 
 def off_by_one_left_quantile(d, p):

@@ -2,6 +2,7 @@
 
 import math
 import time
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -176,11 +177,23 @@ class TestExtendedCoercion:
             (1 + Fraction(1, 2**60), 1 + Fraction(1, 2**60)),
             (Fraction(2**1100), Fraction(2**1100)),
             (Fraction(1, 2**1080), Fraction(1, 2**1080)),
+            # an int that rounds; half the least subnormal rounds to 0.0
+            (Fraction(2**53 + 1), Fraction(2**53 + 1)),
+            (-Fraction(2**53 + 1), -Fraction(2**53 + 1)),
+            (Fraction(1, 2**1075), Fraction(1, 2**1075)),
+            (-Fraction(2**1100), -Fraction(2**1100)),
+            # the least subnormal, zero and negatives are floats
+            (Fraction(1, 2**1074), 5e-324),
+            (Fraction(-1, 2**1074), -5e-324),
+            (Fraction(0), 0.0),
+            (Fraction(-3, 4), -0.75),
+            (Fraction(-(2**53)), -9007199254740992.0),
         ],
     )
     def test_only_rationals_a_float_holds_collapse(self, x, want):
         out = as_extended(x)
-        assert out == want and type(out) is type(want)
+        # repr tells 0.0 from -0.0
+        assert out == want and type(out) is type(want) and repr(out) == repr(want)
 
 
 def atoms_of(d):
@@ -570,6 +583,87 @@ class TestDistFnAgainstParts:
     @given(mixtures())
     def test_mixtures_with_touching_parts_and_signed_zeros(self, d):
         self.check(d)
+
+
+def dist_fn_by_fraction_tables(d, flavor, x):
+    """`dist_fn` written in `Fraction`s: the locations and segment ends as
+    Fractions, each segment's count per unit length, the same bisections
+    of the sorted columns, then one division by the count total."""
+    left = flavor in (F_CLOSED, F_OPEN)
+    if isinstance(x, float) and math.isinf(x):
+        return Fraction(int((x > 0) == left))
+    x = Fraction(x)
+    n, counts = len(d._locs), d._counts
+    locs = [Fraction(v) for v in d._locs]
+    los, his = [Fraction(v) for v in d._los], [Fraction(v) for v in d._his]
+    density = [c / (hi - lo) for c, lo, hi in zip(counts[n:], los, his)]
+    acc = {
+        F_CLOSED: sum(counts[: bisect_right(locs, x)]),
+        F_OPEN: sum(counts[: bisect_left(locs, x)]),
+        G_CLOSED: sum(counts[bisect_left(locs, x) : n]),
+        G_OPEN: sum(counts[bisect_right(locs, x) : n]),
+    }[flavor]
+    if left:
+        i = bisect_right(his, x)
+        acc += sum(counts[n : n + i])
+        if i < len(los) and los[i] < x:
+            acc += density[i] * (x - los[i])
+    else:
+        i = bisect_left(los, x)
+        acc += sum(counts[n + i :])
+        if i and x < his[i - 1]:
+            acc += density[i - 1] * (his[i - 1] - x)
+    return Fraction(acc, d._total)
+
+
+def scale_mixtures(lo, hi):
+    """Seeded corpus mixtures on [lo, hi], and one built on its 9-point
+    lattice: atoms on segment ends, two touching segments, and an atom at
+    -0.0 on a segment end at 0.0, through a segment from the range to 0.0
+    where the lattice holds no zero."""
+    lat = [float(Fraction(lo) + (Fraction(hi) - Fraction(lo)) * k / 8) for k in range(9)]
+    m = Fraction(1, 7)
+    ends = [(lat[2], lat[4]), (lat[4], lat[6]), (lat[7], lat[8])]
+    if lat[4] != 0:
+        ends.append((0.0, lat[0]) if lat[0] > 0 else (lat[8], 0.0))
+    built = MixtureDistribution(
+        atoms=[Atom(x, m) for x in (lat[0], lat[2], -0.0, lat[8])],
+        segments=[UniformSegment(a, b, m) for a, b in ends],
+    )
+    return [built] + [random_mixture(GeneratorConfig(seed, (lo, hi))) for seed in range(6)]
+
+
+def scale_probes(d):
+    # each breakpoint and its float neighbours, non-dyadic points inside
+    # each gap, ints beyond the float range, True, both zeros, both infinities
+    bps = breakpoints(d)
+    xs = [NEG_INF, POS_INF, 10**400, -(10**400), True, 0.0, -0.0]
+    for b in bps:
+        xs += [b, math.nextafter(b, NEG_INF), math.nextafter(b, POS_INF)]
+    for a, b in zip(bps, bps[1:]):
+        xs += [Fraction(a) + (Fraction(b) - Fraction(a)) * Fraction(k, 7) for k in (1, 3, 6)]
+    return xs
+
+
+class TestDistFnAtEveryScale:
+    """`dist_fn` works on an integer grid over a power of two; the
+    reference above is the same evaluation in Fractions."""
+
+    def test_matches_the_fraction_formula(self, location_range):
+        for d in scale_mixtures(*location_range):
+            for x in scale_probes(d):
+                for flavor in ALL_FLAVORS:
+                    got = dist_fn(d, flavor, x)
+                    want = dist_fn_by_fraction_tables(d, flavor, x)
+                    assert got == want and type(got) is Fraction, (describe(d), flavor, x)
+
+    def test_nan_and_text_are_refused(self, location_range):
+        for d in scale_mixtures(*location_range)[:2]:
+            for flavor in ALL_FLAVORS:
+                with pytest.raises(BadValueError):
+                    dist_fn(d, flavor, float("nan"))
+                with pytest.raises(TypeError):
+                    dist_fn(d, flavor, "1.0")
 
 
 EMPIRICAL_KINDS = {

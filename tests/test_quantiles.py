@@ -148,6 +148,34 @@ class TestSegmentInversion:
         assert right_quantile(gapped, Fraction(1, 2)) == 2.0
 
 
+class TestSegmentInversionAtEveryScale:
+    """Inside a gap of positive mass both quantiles are the point where the
+    affine F reaches p: a + b*p, with the inverse's coefficients written in
+    Fractions from the profile's fields, kept exact unless a float holds it."""
+
+    def test_both_quantiles_are_the_affine_inverse(self, location_range):
+        levels = [Fraction(k, 97) for k in range(1, 97)] + [Fraction(k, 64) for k in range(1, 64)]
+        seen = set()
+        for seed in range(8):
+            base = random_mixture(GeneratorConfig(seed=seed, location_range=location_range))
+            for d in (base, negate(base)):
+                prof = d._profile
+                for p in levels:
+                    t = p * prof.den
+                    i = bisect_left(prof.below_next, t)  # the first gap F leaves at p or above
+                    if not prof.cdf[i] < t < prof.below_next[i]:
+                        continue  # p is reached at a landmark
+                    x0, x1 = Fraction(prof.xs[i]), Fraction(prof.xs[i + 1])
+                    mass = prof.below_next[i] - prof.cdf[i]
+                    a = x0 - prof.cdf[i] * (x1 - x0) / mass
+                    b = (x1 - x0) * prof.den / mass
+                    want = distributions.as_extended(a + b * p)
+                    for got in (left_quantile(d, p), right_quantile(d, p)):
+                        assert got == want and type(got) is type(want), (seed, p)
+                    seen.add(type(want))
+        assert seen == {float, Fraction}
+
+
 class TestPairAndDispatch:
     def test_pair_carries_uniqueness(self, ph_dist):
         pair = quantile_pair(ph_dist, "0.2")

@@ -28,6 +28,7 @@ from dualquant import (
     UnsupportedPushforwardError,
     affine_map,
     apply_map,
+    as_extended,
     equivariance_counterexample,
     equivariant_quantile,
     left_quantile,
@@ -564,11 +565,27 @@ class TestMapPieceCoefficients:
         assert piece == twin and hash(piece) == hash(twin)
         assert piece != MapPiece(0.0, 1.0, 2.0, 0.5)
 
-    @pytest.mark.parametrize("slope, intercept", [(0.1, 0.2), (-3.0, -0.0), (1e300, 5e-324)])
+    @pytest.mark.parametrize(
+        "slope, intercept",
+        [
+            (0.1, 0.2), (-3.0, -0.0), (1e300, 5e-324),
+            # the ends of the float range, and flat pieces
+            (5e-324, 1e300), (-5e-324, -0.0), (-1e300, 5e-324), (1e300, -1e300),
+            (5e-324, 5e-324), (0.0, -0.0), (-0.0, 0.2), (-0.0, 1e300),
+        ],
+    )
     def test_value_at_a_fraction_is_the_exact_image(self, slope, intercept):
+        # a flat piece is its intercept as stored; any other piece the exact
+        # image, a float exactly when a float holds it
         piece = MapPiece(NEG_INF, POS_INF, slope, intercept)
-        x = Fraction(1, 3)
-        assert piece.value(x) == Fraction(slope) * x + Fraction(intercept)
+        xs = [Fraction(1, 3), Fraction(-7, 2**1100), Fraction(10**310, 3), Fraction(5, 3 * 2**1074),
+              Fraction(3, 2), Fraction(-1, 2**1074), Fraction(0)]
+        for x in xs:
+            exact = Fraction(slope) * x + Fraction(intercept)
+            want = intercept if slope == 0 else as_extended(exact)
+            got = piece.value(x)
+            assert type(got) is type(want) and repr(got) == repr(want), x
+            assert slope == 0 or got == exact
 
 
 def spec_bound(v):
