@@ -288,13 +288,25 @@ def _scan(grid: _LevelGrid, variant: QuantileVariant) -> ExtendedReal:
 class _LevelFree(NamedTuple):
     """The parts of checks a-k that no level changes, for one mixture:
     checks h and j whole, the left and right quantiles at the levels k/10
-    that check i adds to p, and the distances span*j/8 of check k's
-    probes from lq and rq."""
+    that check i adds to p, the distances span*j/8 of check k's probes
+    from lq and rq, and F at the probes of each lq and rq met so far."""
 
     h: CheckResult
     j: CheckResult
     grid: tuple[tuple[ExtendedReal, ExtendedReal], ...]  # at _TENTHS
     offsets: tuple[Fraction, ...]
+    probed: dict[tuple[ExtendedReal, int], list[Probability]]  # (x, -1 below / 1 above): F
+
+
+def _probed(d: MixtureDistribution, fixed: _LevelFree, x: ExtendedReal, side: int):
+    # F at check k's 8 probes below (side -1) or above (side 1) a finite x,
+    # computed once per mixture: many levels share their lq or rq
+    fs = fixed.probed.get((x, side))
+    if fs is None:
+        fs = fixed.probed[x, side] = [
+            dist_fn(d, DistFnFlavor.LEFT_CLOSED, Fraction(x) + side * o) for o in fixed.offsets
+        ]
+    return fs
 
 
 _TENTHS = tuple(Fraction(k, 10) for k in range(11))
@@ -329,7 +341,7 @@ def _level_free_checks(d: MixtureDistribution) -> _LevelFree:
     )
     lo_b, hi_b = essential_bounds(d)
     span = Fraction(hi_b) - Fraction(lo_b) + 1
-    return _LevelFree(h, j, grid, tuple(span * Fraction(k, 8) for k in range(1, 9)))
+    return _LevelFree(h, j, grid, tuple(span * Fraction(k, 8) for k in range(1, 9)), {})
 
 
 def _property_results(
@@ -410,14 +422,12 @@ def _property_results(
     if isinstance(lq, float) and math.isinf(lq):
         notes.append("no reals below lq=-inf")
     else:
-        probes = [Fraction(lq) - o for o in fixed.offsets]
-        ok_k &= all(dist_fn(d, DistFnFlavor.LEFT_CLOSED, x) < p for x in probes)
+        ok_k &= all(s < 0 for s in _signs(_probed(d, fixed, lq, -1), p))
         notes.append("F < p at 8 probes below lq")
     if isinstance(rq, float) and math.isinf(rq):
         notes.append("no reals above rq=+inf")
     else:
-        probes = [Fraction(rq) + o for o in fixed.offsets]
-        ok_k &= all(dist_fn(d, DistFnFlavor.LEFT_CLOSED, x) > p for x in probes)
+        ok_k &= all(s > 0 for s in _signs(_probed(d, fixed, rq, 1), p))
         notes.append("F > p at 8 probes above rq")
     out.append(CheckResult("k", ok_k, "; ".join(notes)))
     return out

@@ -11,7 +11,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 
 from dualquant import (
     GeneratorConfig,

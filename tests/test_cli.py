@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from bisect import bisect_left, bisect_right
@@ -12,7 +13,7 @@ from itertools import accumulate
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 
 import dualquant.cli
 import dualquant.distributions
@@ -40,6 +41,7 @@ INT_LIMIT = getattr(sys, "get_int_max_str_digits", int)()
 needs_int_limit = pytest.mark.skipif(not INT_LIMIT, reason="int has no digit limit")
 # the data file's column v at one level, for the refusal table
 READ_V = ["{data}", "--column", "v", "--levels", "0.5"]
+DATA_OPTIONS = ["--column", "--weights", "--delimiter", "--header", "--no-header", "--levels"]
 
 
 def rows_of(output):
@@ -240,6 +242,13 @@ class TestExitCodes:
         res = runner.invoke(main, ["quantile", rain, "--column", "pH", "--levels", "1.5"])
         assert res.exit_code == 4
         assert "[0, 1]" in res.stderr
+
+    @pytest.mark.parametrize("level", ["-1/2", "-25%"])
+    def test_a_level_that_reads_like_an_option_is_4(self, runner, rain, level):
+        # an option's value is the next argument, whatever it starts with
+        res = runner.invoke(main, ["quantile", rain, "--column", "pH", "--levels", level])
+        assert res.exit_code == 4
+        assert f"level {level!r} lies outside [0, 1]" in res.stderr
 
     @pytest.mark.parametrize("level", ["1e-3000000", "1e-10001"])
     def test_level_with_a_huge_exponent_is_4(self, runner, rain, level):
@@ -514,6 +523,15 @@ READER_CASES = [
      ["--column", "v", "--weights", "w"], False),
     ("blank-line-mid-block", spanning("v", "{}.5".format, {B + B // 2: ""}), ["--column", "v"],
      True),
+    # a block refused, then clean blocks, which the blocks take again
+    ("decimal-weight-in-block-1",
+     spanning("v,w", lambda i: f"{i}.5,{i % 9 + 1}", {8: "7.5,0.5"}),
+     ["--column", "v", "--weights", "w"], False),
+    ("whitespace-row-in-block-3",
+     spanning("v,w", lambda i: f"{i}.5,{i % 9 + 1}", {2 * B + 3: "  , "}),
+     ["--column", "v", "--weights", "w"], False),
+    ("blank-cell-in-block-1-bad-value-in-block-3",
+     spanning("v", "{}.5".format, {8: "  ", 2 * B + 7: "x"}), ["--column", "v"], False),
 ]
 
 
@@ -539,6 +557,8 @@ class TestBlockReader:
     @pytest.mark.parametrize("case, message", [
         ("bad-value-in-block-3", f"line {2 * B + 9}, v: cannot parse 'x' as a number"),
         ("quote-across-blocks", f"line {B + 1}: quoted field is not closed on its line"),
+        ("blank-cell-in-block-1-bad-value-in-block-3",
+         f"line {2 * B + 9}, v: cannot parse 'x' as a number"),
     ])
     def test_an_error_past_the_first_block_names_its_line(self, runner, tmp_path, case, message):
         f = tmp_path / "data.csv"
@@ -557,6 +577,18 @@ class TestBlockReader:
         assert calls[1] == list(range(3 * B + 2, n + 2))
         assert values == [7.5 if i == 3 * B + 2 else i + 0.5 for i in range(n)]
         assert weights == [Fraction(1, 2) if i == 3 * B + 2 else i % 9 + 1 for i in range(n)]
+
+    @pytest.mark.parametrize("odd", [8, B + 3, 2 * B + 3], ids=["block-1", "block-2", "block-3"])
+    def test_the_per_row_loop_hands_back_to_the_blocks(self, tmp_path, monkeypatch, odd):
+        f = tmp_path / "data.csv"
+        n = 3 * B + 5
+        f.write_bytes(spanning("v,w", lambda i: f"{i}.5,{i % 9 + 1}", {odd: "7.5,0.5"}))
+        calls = spy_on_rows(monkeypatch)
+        values, weights, _ = _load_column(str(f), "v", "w", ",", None)
+        first = odd // B * B + 2  # the refused block's first line
+        assert calls[1:] == [list(range(first, first + B)), []]
+        assert values == [7.5 if i == odd else i + 0.5 for i in range(n)]
+        assert weights == [Fraction(1, 2) if i == odd else i % 9 + 1 for i in range(n)]
 
     def test_blocks_cover_a_column_longer_than_one(self, tmp_path):
         f = tmp_path / "long.csv"
@@ -727,6 +759,48 @@ class TestEntryPoints:
         assert res.exit_code == 0
         for sub in ("quantile", "symmetry", "transform", "verify"):
             assert sub in res.stdout
+
+    @pytest.mark.parametrize("command, options, defaults", [
+        ("quantile", [*DATA_OPTIONS, "--format"], ["0", ",", "text"]),
+        ("symmetry", DATA_OPTIONS, ["0", ","]),
+        ("transform", [*DATA_OPTIONS, "--map", "--side"], ["0", ",", "left"]),
+        ("verify", ["--seed", "--n", "--report"], ["42", "100"]),
+    ])
+    def test_each_command_help_lists_its_options_and_defaults(self, runner, command, options,
+                                                              defaults):
+        res = runner.invoke(main, [command, "--help"])
+        assert res.exit_code == 0
+        text = " ".join(res.stdout.split())  # as wrapped for any terminal width
+        assert [o for o in options if o not in text] == []
+        assert re.findall(r"\[default: ([^;\]]+)", text) == defaults
+
+    @pytest.mark.parametrize("args", [[], ["quantile", "{rain}", "--lev", "0.5"]],
+                             ids=["no-arguments", "abbreviated-option"])
+    def test_a_call_the_parser_refuses_is_2(self, runner, rain, args):
+        res = runner.invoke(main, [a.format(rain=rain) for a in args])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+
+    def test_an_interrupt_is_1_without_a_traceback(self, runner, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(dualquant.verify, "run_suite", interrupted)
+        res = runner.invoke(main, ["verify", "--n", "1"])
+        assert (res.exit_code, res.stderr) == (1, "\nAborted!\n")
+
+    def test_a_closed_output_pipe_is_1_without_a_traceback(self, rain):
+        src = str(Path(dualquant.cli.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            res = subprocess.run([sys.executable, "-m", "dualquant", "quantile", rain, "--levels", "0.5"],
+                                 stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+        assert (res.returncode, res.stderr) == (1, "")
 
     def test_the_smoke_script_that_ci_runs_passes(self):
         smoke = [sys.executable, str(GEN_CSV.with_name("smoke.py")), "--rows", "10000", "--"]

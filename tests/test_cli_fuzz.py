@@ -9,7 +9,7 @@ value replaced by junk.
 import json
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

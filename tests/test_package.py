@@ -78,6 +78,27 @@ print(json.dumps([m for m in sys.modules if m.startswith("dualquant.")]))
     assert loads <= names and not skips & names
 
 
+@pytest.mark.parametrize("args", [["--help"], ["quantile", *RAIN]], ids=["help", "quantile"])
+def test_a_command_imports_nothing_outside_the_standard_library(args):
+    # only what the command adds counts: site may have loaded more, through a .pth file
+    added = fresh(f"""
+import json, sys
+before = set(sys.modules)
+import dualquant
+from dualquant.cli import main
+args = {args!r}
+if args[0] != "--help":
+    args.insert(1, str(dualquant.rain_csv_path()))
+try:
+    main(args, standalone_mode=False)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(json.dumps(sorted(set(sys.modules) - before)))
+""")
+    outside = {m.partition(".")[0] for m in added} - sys.stdlib_module_names - {"dualquant"}
+    assert outside == set()
+
+
 def test_star_import_and_dir_give_every_public_name_once():
     got = fresh("""
 import json

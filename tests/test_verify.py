@@ -12,7 +12,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 
 import dualquant.verify
 from dualquant import (
