@@ -24,6 +24,7 @@ from .distributions import (
     POS_INF,
     ExtendedReal,
     MixtureDistribution,
+    Probability,
     UniformSegment,
     _common_counts,
     _dyadic_ints,
@@ -344,6 +345,14 @@ def equivariant_quantile(
     p = as_level(p)
     if not isinstance(side, QuantileSide):
         raise TypeError(f"side must be a QuantileSide, got {side!r}")
+    rising, needs_left = _transport_rule(m, side)
+    return _apply_to_quantile(m, d, _preimage_quantile(d, p, rising, needs_left))
+
+
+def _transport_rule(m: MonotoneMap, side: QuantileSide) -> tuple[bool, bool]:
+    """``(rising, needs_left)`` for the ``side`` quantile through ``m``:
+    whether ``m`` is non-decreasing, and whether the identity needs it
+    left-continuous (else right-continuous), which it must then be."""
     rising = m.direction is Direction.NON_DECREASING
     needs_left = (side is QuantileSide.LEFT) == rising
     if not (m.left_continuous if needs_left else m.right_continuous):
@@ -352,11 +361,17 @@ def equivariant_quantile(
             f"{m.direction.value.replace('_', '-')} map requires a "
             f"{'left' if needs_left else 'right'}-continuous map, and this one is not"
         )
-    # X's left quantile is the one to transport exactly when the map
-    # needs left continuity
+    return rising, needs_left
+
+
+def _preimage_quantile(
+    d: MixtureDistribution, p: Probability, rising: bool, needs_left: bool
+) -> ExtendedReal:
+    """The quantile of X that `_transport_rule`'s answer routes to level
+    ``p`` of m(X): the level reflected to 1-p through a non-increasing
+    map, and X's left quantile exactly when the map needs left continuity."""
     level = p if rising else 1 - p
-    x = left_quantile(d, level) if needs_left else right_quantile(d, level)
-    return _apply_to_quantile(m, d, x)
+    return left_quantile(d, level) if needs_left else right_quantile(d, level)
 
 
 class Transport(Enum):

@@ -53,6 +53,9 @@ from .quantiles import (
     left_quantile,
     right_quantile,
 )
+# check E routes through the three steps of `equivariant_quantile` by their
+# names here, for the same reason; the preimage quantile calls the library's
+# own left_quantile and right_quantile, as `equivariant_quantile` does
 from .transforms import (
     Continuity,
     Direction,
@@ -60,9 +63,11 @@ from .transforms import (
     MonotoneMap,
     PiecewiseMonotoneMap,
     Transport,
+    _apply_to_quantile,
+    _preimage_quantile,
+    _transport_rule,
     affine_map,
     check_transport,
-    equivariant_quantile,
     neglog10_map,
     negation_map,
     pow10_neg_map,
@@ -109,6 +114,10 @@ class CheckResult:
     checked: int = 1  # identities verified at this level; a vacuous one counts
     skipped: int = 0  # identities not claimed at this level
 
+    def __reduce__(self):
+        # a pickle of the constructor call, not of the slots' state
+        return CheckResult, (self.check_id, self.passed, self.details, self.checked, self.skipped)
+
 
 @dataclass(frozen=True)
 class PropertyReport:
@@ -122,6 +131,10 @@ class PropertyReport:
         ids = [r.check_id for r in self.results]
         if len(ids) != len(set(ids)):
             raise ValueError(f"duplicate check ids in report: {ids}")
+
+    def __reduce__(self):
+        # loading calls the constructor, so the check above runs again
+        return PropertyReport, (self.distribution, self.level, self.results)
 
     @property
     def passed(self) -> bool:
@@ -285,16 +298,39 @@ def _scan(grid: _LevelGrid, variant: QuantileVariant) -> ExtendedReal:
 # property batteries
 
 
+_TENTHS = tuple(Fraction(k, 10) for k in range(11))
+
+
+class _Level(NamedTuple):
+    """One level of a run with what the checks derive from it alone:
+    1 - p (checks g and S), check c's five higher levels and check i's
+    slot in `_TENTHS`, which p takes the place of.  `run_suite` builds
+    one per level before it forks, and every mixture reads them."""
+
+    p: Probability
+    q: Probability  # 1 - p
+    higher: tuple[Probability, ...]  # empty at p = 1
+    tenth: slice  # the tenth equal to p, or the empty slot where p goes
+
+
+def _level(p: Probability) -> _Level:
+    q = 1 - p  # q > 0 below level 1, so the five levels strictly increase
+    higher = (p + q / 97, p + q / 4, p + q / 2, p + 3 * q / 4, p + q) if q else ()
+    k = bisect_left(_TENTHS, p)  # k <= 10, as p <= 1
+    return _Level(p, q, higher, slice(k, k + (_TENTHS[k] == p)))
+
+
 class _LevelFree(NamedTuple):
     """The parts of checks a-k that no level changes, for one mixture:
     checks h and j whole, the left and right quantiles at the levels k/10
-    that check i adds to p, the distances span*j/8 of check k's probes
-    from lq and rq, and F at the probes of each lq and rq met so far."""
+    that check i adds to p, check k's probe offsets -span*j/8 (side -1)
+    and span*j/8 (side 1) from lq and rq, and F at the probes of each lq
+    and rq met so far."""
 
     h: CheckResult
     j: CheckResult
     grid: tuple[tuple[ExtendedReal, ExtendedReal], ...]  # at _TENTHS
-    offsets: tuple[Fraction, ...]
+    offsets: dict[int, tuple[Fraction, ...]]  # side: the 8 signed offsets
     probed: dict[tuple[ExtendedReal, int], list[Probability]]  # (x, -1 below / 1 above): F
 
 
@@ -303,13 +339,11 @@ def _probed(d: MixtureDistribution, fixed: _LevelFree, x: ExtendedReal, side: in
     # computed once per mixture: many levels share their lq or rq
     fs = fixed.probed.get((x, side))
     if fs is None:
+        fx = Fraction(x)
         fs = fixed.probed[x, side] = [
-            dist_fn(d, DistFnFlavor.LEFT_CLOSED, Fraction(x) + side * o) for o in fixed.offsets
+            dist_fn(d, DistFnFlavor.LEFT_CLOSED, fx + o) for o in fixed.offsets[side]
         ]
     return fs
-
-
-_TENTHS = tuple(Fraction(k, 10) for k in range(11))
 
 
 def _level_free_checks(d: MixtureDistribution) -> _LevelFree:
@@ -341,14 +375,16 @@ def _level_free_checks(d: MixtureDistribution) -> _LevelFree:
     )
     lo_b, hi_b = essential_bounds(d)
     span = Fraction(hi_b) - Fraction(lo_b) + 1
-    return _LevelFree(h, j, grid, tuple(span * Fraction(k, 8) for k in range(1, 9)), {})
+    above = tuple(span * Fraction(k, 8) for k in range(1, 9))
+    return _LevelFree(h, j, grid, {-1: tuple(-o for o in above), 1: above}, {})
 
 
 def _property_results(
-    d: MixtureDistribution, p: Probability, lq: ExtendedReal, rq: ExtendedReal,
+    d: MixtureDistribution, level: _Level, lq: ExtendedReal, rq: ExtendedReal,
     grid: _LevelGrid, fixed: _LevelFree,
 ) -> list[CheckResult]:
     # grid is the oracle's candidate grid on d at level p
+    p = level.p
     out = []
     fc_lq = dist_fn(d, DistFnFlavor.LEFT_CLOSED, lq)
     fo_rq = dist_fn(d, DistFnFlavor.LEFT_OPEN, rq)
@@ -358,11 +394,10 @@ def _property_results(
     )
     out.append(CheckResult("b", lq <= rq, f"lq={format_extended(lq)} <= rq={format_extended(rq)}"))
 
-    if p == 1:
+    higher = level.higher
+    if not higher:
         out.append(CheckResult("c", True, "vacuous: no level above 1"))
     else:
-        q = 1 - p  # q > 0, so the five levels strictly increase
-        higher = [p + q / 97, p + q / 4, p + q / 2, p + 3 * q / 4, p + q]
         bad = [p2 for p2 in higher if not rq <= left_quantile(d, p2)]
         out.append(
             CheckResult(
@@ -395,7 +430,7 @@ def _property_results(
         gc_rq = dist_fn(d, DistFnFlavor.RIGHT_CLOSED, rq)
         g = CheckResult(
             "g",
-            fc_lq == p and gc_rq == 1 - p,
+            fc_lq == p and gc_rq == level.q,
             f"lq={format_extended(lq)} < rq={format_extended(rq)}: "
             f"F(lq)={format_extended(fc_lq)} == p and "
             f"P(X>=rq)={format_extended(gc_rq)} == 1-p",
@@ -407,8 +442,7 @@ def _property_results(
     out.append(fixed.h)
 
     rows = list(fixed.grid)
-    k = bisect_left(_TENTHS, p)  # k <= 10, as p <= 1; p takes the place of an equal tenth
-    rows[k : k + (_TENTHS[k] == p)] = [(lq, rq)]
+    rows[level.tenth] = [(lq, rq)]
     lqs, rqs = zip(*rows)
     mono = all(a <= b for a, b in zip(lqs, lqs[1:])) and all(
         a <= b for a, b in zip(rqs, rqs[1:])
@@ -434,10 +468,10 @@ def _property_results(
 
 
 def _symmetry_results(
-    nd: MixtureDistribution, nd_grid: _Grid, p: Probability, lq: ExtendedReal, rq: ExtendedReal
+    nd: MixtureDistribution, nd_grid: _Grid, level: _Level, lq: ExtendedReal, rq: ExtendedReal
 ) -> list[CheckResult]:
-    # nd is the negation of the mixture lq and rq at level p come from, nd_grid its table
-    mirror = _candidates(nd, nd_grid, 1 - p)
+    # nd is the negation of the mixture lq and rq at the level come from, nd_grid its table
+    mirror = _candidates(nd, nd_grid, level.q)
     lq_mirror = -_scan(mirror, QuantileVariant.RQ_CLOSED_INF)
     rq_mirror = -_scan(mirror, QuantileVariant.LQ_CLOSED_INF)
     ok = lq == lq_mirror and rq == rq_mirror
@@ -502,13 +536,50 @@ def _pushforwards(d: MixtureDistribution, maps: Sequence[tuple[str, MonotoneMap]
     return out
 
 
+def _routed(
+    d: MixtureDistribution, p: Probability, j: int, m: MonotoneMap, side: QuantileSide,
+    preimages: dict, routes: dict,
+) -> ExtendedReal | None:
+    """`equivariant_quantile(d, m, p, side)` for map j of check E, or None
+    where the identity is not claimed: the map's continuity does not meet
+    its hypothesis, or the preimage quantile lies outside the map's domain
+    closure.  ``preimages`` keeps each preimage quantile at level p, one
+    per (rising, needs_left); ``routes`` keeps the image of each (map, x),
+    across the levels of one mixture.  Any other exception is not kept,
+    so it is raised again at each level."""
+    try:
+        rule = _transport_rule(m, side)
+    except ContinuityMismatchError:
+        return None
+    x = preimages.get(rule)
+    if x is None:
+        x = preimages[rule] = _preimage_quantile(d, p, *rule)
+    # 0.0 == -0.0, but negation sends them to different zeros
+    key = j, type(x), x, math.copysign(1.0, x) if x == 0 else 0.0
+    try:
+        return routes[key]
+    except KeyError:
+        pass
+    try:
+        y = _apply_to_quantile(m, d, x)
+    except MapDomainError:
+        y = None
+    routes[key] = y
+    return y
+
+
 def _equivariance_results(
-    d: MixtureDistribution, p: Probability, images: Sequence[_Image]
+    d: MixtureDistribution, p: Probability, images: Sequence[_Image], routes: dict | None = None
 ) -> list[CheckResult]:
+    # routes: `_routed`'s images, kept by the caller across the levels of
+    # one mixture and the same images
+    if routes is None:
+        routes = {}
+    preimages = {}
     checked = 0
     skipped = 0
     failures = []
-    for name, m, push in images:
+    for j, (name, m, push) in enumerate(images):
         if push is None:
             skipped += 2
             continue
@@ -518,11 +589,8 @@ def _equivariance_results(
             continue
         for side in (QuantileSide.LEFT, QuantileSide.RIGHT):
             try:
-                try:
-                    routed = equivariant_quantile(d, m, p, side)
-                except (ContinuityMismatchError, MapDomainError):
-                    # hypothesis not met, or the preimage quantile lies outside
-                    # the map's domain closure: the identity is not claimed
+                routed = _routed(d, p, j, m, side, preimages, routes)
+                if routed is None:
                     skipped += 1
                     continue
                 direct, verdict = check_transport(push, p, side, routed)
@@ -551,7 +619,7 @@ def check_quantile_properties(d: MixtureDistribution, p: LevelLike) -> PropertyR
     p = as_level(p)
     lq, rq = left_quantile(d, p), right_quantile(d, p)
     grid = _candidates(d, _candidate_table(d), p)
-    results = _property_results(d, p, lq, rq, grid, _level_free_checks(d))
+    results = _property_results(d, _level(p), lq, rq, grid, _level_free_checks(d))
     return PropertyReport(describe(d), p, tuple(results))
 
 
@@ -564,7 +632,8 @@ def check_symmetry(d: MixtureDistribution, p: LevelLike) -> PropertyReport:
     """
     p = as_level(p)
     nd = negate(d)
-    results = _symmetry_results(nd, _candidate_table(nd), p, left_quantile(d, p), right_quantile(d, p))
+    lq, rq = left_quantile(d, p), right_quantile(d, p)
+    results = _symmetry_results(nd, _candidate_table(nd), _level(p), lq, rq)
     return PropertyReport(describe(d), p, tuple(results))
 
 
@@ -744,7 +813,7 @@ def run_suite(
     if n_dists < 1:
         raise ValueError("n_dists must be >= 1")
     map_list = stock_maps()
-    levels = [as_level(p) for p in levels]
+    levels = [_level(as_level(p)) for p in levels]
     k = min(n_dists, _usable_cpus())
 
     def share(j: int) -> list:
@@ -768,7 +837,7 @@ def run_suite(
     return reports
 
 
-def _mixture_reports(cfg, levels, map_list) -> list[PropertyReport]:
+def _mixture_reports(cfg, levels: Sequence[_Level], map_list) -> list[PropertyReport]:
     """The reports of the mixture `random_mixture(cfg)` at each level."""
     d = random_mixture(cfg)
     label = describe(d)
@@ -777,14 +846,16 @@ def _mixture_reports(cfg, levels, map_list) -> list[PropertyReport]:
     fixed = _level_free_checks(d)
     shapes_ok = _shape_witnesses(d, grid)
     images = _pushforwards(d, map_list)
+    routes = {}  # check E's image of each (map, preimage quantile)
     reports = []
-    for p in levels:
+    for level in levels:
+        p = level.p
         lq, rq, level_grid = left_quantile(d, p), right_quantile(d, p), _candidates(d, grid, p)
         results = (
-            _property_results(d, p, lq, rq, level_grid, fixed)
-            + _symmetry_results(nd, nd_grid, p, lq, rq)
+            _property_results(d, level, lq, rq, level_grid, fixed)
+            + _symmetry_results(nd, nd_grid, level, lq, rq)
             + _variant_results(lq, rq, level_grid, shapes_ok)
-            + _equivariance_results(d, p, images)
+            + _equivariance_results(d, p, images, routes)
         )
         reports.append(PropertyReport(label, p, tuple(results)))
     return reports
@@ -809,7 +880,9 @@ def _forked(fn: Callable[[int], list], k: int) -> list[list]:
     arguments as they are, where a fresh interpreter per child would
     cost as much as a share of a short run.  Each item goes as a pickle
     of its own, ended by a pickled None, so reading holds the unpickling
-    memo of one item at a time rather than of the whole list.  A child
+    memo of one item at a time rather than of the whole list.  A report
+    and each of its check results pickle as their constructor and field
+    tuple (`PropertyReport.__reduce__`), which loading calls again.  A child
     leaves by ``os._exit``, so it runs no exit hooks and flushes no
     inherited buffer.  Whether this returns or raises, every child has
     been reaped; one still running after a failure here is killed first.

@@ -6,9 +6,11 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import re
 import signal
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,16 +29,19 @@ from dualquant import (
     QuantileVariant,
     SmoothKind,
     SmoothMonotoneMap,
+    QuantileSide,
     UniformSegment,
     breakpoints,
     check_quantile_properties,
     check_symmetry,
     describe,
     dist_fn,
+    equivariant_quantile,
     left_quantile,
     make_empirical,
     negate,
     neglog10_map,
+    negation_map,
     quantile_by_definition,
     random_mixture,
     right_quantile,
@@ -50,6 +55,8 @@ from dualquant.verify import (
     _candidate_table,
     _candidates,
     _equivariance_results,
+    _level,
+    _mixture_reports,
     _pushforwards,
     _shape_witnesses,
     first_failure,
@@ -282,13 +289,13 @@ class TestPropertyChecks:
         # every finite routed value one too high: each identity E checks
         # fails, its counts still cover 11 maps x 2 sides, and the details
         # name the first three failures
-        routed = dualquant.verify.equivariant_quantile
+        image = dualquant.verify._apply_to_quantile
 
-        def one_too_high(d, m, p, side):
-            x = routed(d, m, p, side)
-            return x if isinstance(x, float) and math.isinf(x) else x + 1
+        def one_too_high(m, d, x):
+            y = image(m, d, x)
+            return y if isinstance(y, float) and math.isinf(y) else y + 1
 
-        monkeypatch.setattr(dualquant.verify, "equivariant_quantile", one_too_high)
+        monkeypatch.setattr(dualquant.verify, "_apply_to_quantile", one_too_high)
         d = random_mixture(GeneratorConfig(seed=42))
         (res,) = _equivariance_results(d, Fraction(1, 2), _pushforwards(d, stock_maps()))
         assert not res.passed
@@ -337,25 +344,25 @@ class TestPropertyChecks:
         # a transported quantile or a verdict that raises is a defect too:
         # E fails naming the map and side, which count as checked, and
         # neither run_suite nor the command raises
-        route, judge = dualquant.verify.equivariant_quantile, dualquant.verify.check_transport
+        rule, judge = dualquant.verify._transport_rule, dualquant.verify.check_transport
         maps = dict(stock_maps())
         up, down = maps["affine_up"], maps["affine_down"]
         levels = standard_levels(42)[::10]
         want = run_suite(GeneratorConfig(seed=42), 2, levels)
         routing = []  # the map of the transport check in progress
 
-        def routed(d, m, p, side):
+        def routed(m, side):
             routing[:] = [m]
             if m == up:
                 raise KeyError("affine_up")
-            return route(d, m, p, side)
+            return rule(m, side)
 
         def judged(push, p, side, routed):
             if routing[0] == down:
                 raise ZeroDivisionError("no verdict")
             return judge(push, p, side, routed)
 
-        monkeypatch.setattr(dualquant.verify, "equivariant_quantile", routed)
+        monkeypatch.setattr(dualquant.verify, "_transport_rule", routed)
         monkeypatch.setattr(dualquant.verify, "check_transport", judged)
         named = (
             "; affine_up/left: raised KeyError: 'affine_up'; "
@@ -398,6 +405,26 @@ class TestReports:
         dup = (CheckResult("a", True, ""), CheckResult("a", True, ""))
         with pytest.raises(ValueError):
             PropertyReport("d", Fraction(1, 2), dup)
+
+    @pytest.mark.parametrize("mutated", [False, True], ids=["passing", "off_by_one_left_quantile"])
+    def test_reports_survive_a_pickle_round_trip(self, request, mutated):
+        # a forked worker sends its reports back as pickles
+        if mutated:
+            request.getfixturevalue("off_by_one")
+        reports = run_suite(GeneratorConfig(seed=3), 2, standard_levels(3)[::7])
+        assert suite_passed(reports) != mutated
+        back = pickle.loads(pickle.dumps(reports, pickle.HIGHEST_PROTOCOL))
+        assert back == reports
+        assert all(type(r.level) is Fraction for r in back)
+
+    def test_a_pickle_with_duplicate_check_ids_is_refused_on_load(self):
+        dup = (CheckResult("a", True, ""), CheckResult("a", False, "broken", 0, 1))
+        forged = object.__new__(PropertyReport)
+        for field, value in zip(("distribution", "level", "results"), ("d", Fraction(1, 2), dup)):
+            object.__setattr__(forged, field, value)
+        payload = pickle.dumps(forged, pickle.HIGHEST_PROTOCOL)
+        with pytest.raises(ValueError, match="duplicate check ids"):
+            pickle.loads(payload)
 
     def test_failures_lists_only_failed_checks(self):
         rep = PropertyReport(
@@ -759,10 +786,13 @@ class TestStockMaps:
 
 
 class TestLevelFreeChecksOncePerMixture:
-    """`run_suite` computes the checks no level changes (h, j, the fixed
-    levels of i) and the pushforwards once per mixture, and lq, rq and
-    the oracle's grids once per level; each report must still read
-    exactly as the checks compute it alone for that one level."""
+    """`run_suite` derives each level's own values (1 - p, check c's
+    higher levels, check i's slot) once per run; it computes the checks
+    no level changes (h, j, the fixed levels of i), the pushforwards and
+    check E's image of each (map, x) once per mixture; and lq, rq, the
+    oracle's grids and check E's preimage quantiles once per level.  Each
+    report must still read exactly as the checks compute it alone for
+    that one level."""
 
     @pytest.mark.parametrize(
         "mutated", [False, True], ids=["left_quantile", "off_by_one_left_quantile"]
@@ -805,6 +835,53 @@ class TestLevelFreeChecksOncePerMixture:
                     assert by_id["S"] == alone, (seed + i, p)
                     (fresh,) = _equivariance_results(d, p, _pushforwards(d, stock_maps()))
                     assert by_id["E"] == fresh, (seed + i, p)
+
+    def test_check_E_routes_each_preimage_quantile_and_image_once(self, monkeypatch):
+        # at most one preimage quantile per (rising, needs_left) at each
+        # level, and one map application per (map, signed x) per mixture
+        preimage, image = dualquant.verify._preimage_quantile, dualquant.verify._apply_to_quantile
+        preimages, applied = Counter(), Counter()
+
+        def counted_preimage(d, p, rising, needs_left):
+            preimages[p] += 1
+            return preimage(d, p, rising, needs_left)
+
+        def counted_image(m, d, x):
+            applied[id(m), type(x), x, math.copysign(1.0, x)] += 1
+            return image(m, d, x)
+
+        monkeypatch.setattr(dualquant.verify, "_preimage_quantile", counted_preimage)
+        monkeypatch.setattr(dualquant.verify, "_apply_to_quantile", counted_image)
+        levels = [_level(p) for p in standard_levels(7)]
+        for seed in (1000, 1001, 1002, 2000):
+            preimages.clear()
+            applied.clear()
+            reports = _mixture_reports(GeneratorConfig(seed=seed), levels, stock_maps())
+            assert suite_passed(reports)
+            assert set(preimages) == {lv.p for lv in levels}
+            assert max(preimages.values()) <= 4, seed
+            assert applied and set(applied.values()) == {1}, seed
+
+    def test_check_E_keeps_the_two_zeros_apart(self, monkeypatch):
+        # lq(1/2) is the segment's end 0.0 and rq(1/2) the atom -0.0:
+        # negation routes them to -0.0 (right) and 0.0 (left), which
+        # compare equal, so only the routed values themselves tell them apart
+        d = MixtureDistribution(
+            atoms=(Atom(-0.0, Fraction(1, 2)),), segments=(SEG(-1.0, 0.0, Fraction(1, 2)),)
+        )
+        p, m = Fraction(1, 2), negation_map()
+        assert [repr(q(d, p)) for q in (left_quantile, right_quantile)] == ["0.0", "-0.0"]
+        judge, seen = dualquant.verify.check_transport, []
+
+        def spy(push, p, side, routed):
+            seen.append((side, repr(routed)))
+            return judge(push, p, side, routed)
+
+        monkeypatch.setattr(dualquant.verify, "check_transport", spy)
+        (e,) = _equivariance_results(d, p, _pushforwards(d, [("negation", m)]))
+        assert e.passed and (e.checked, e.skipped) == (2, 0)
+        want = [(side, repr(equivariant_quantile(d, m, p, side))) for side in QuantileSide]
+        assert seen == want == [(QuantileSide.LEFT, "0.0"), (QuantileSide.RIGHT, "-0.0")]
 
 
 def reference_shape_witnesses(d):

@@ -31,8 +31,8 @@ LEVELS = ["0.1", "0.5", "0.9"]
 # the source mutants: (name, module, function, line, its replacement)
 NEXT_LANDMARK = ("_lq returns the next landmark", "quantiles.py", "_lq",
             "    return prof.xs[i]\n", "    return prof.xs[min(i + 1, len(prof.xs) - 1)]\n")
-REFLECTION = ("equivariant_quantile reflects the level as p - 1", "transforms.py",
-              "equivariant_quantile", "    level = p if rising else 1 - p\n",
+REFLECTION = ("_preimage_quantile reflects the level as p - 1", "transforms.py",
+              "_preimage_quantile", "    level = p if rising else 1 - p\n",
               "    level = p if rising else p - 1\n")
 
 
